@@ -15,7 +15,9 @@ import sys
 from pathlib import Path
 
 from . import fixtures
-from .core_graph import StarGraph, double_cover, parse_stg, serialize_stg, validate
+from .chords import Chord, Triad
+from .core_graph import (StarGraph, double_cover, find_source_sink_orientation, parse_stg,
+                         require_valid, serialize_stg, validate)
 from .errors import (InvalidGraphError, NotSourceSinkError, OracleCapExceeded,
                      StgParseError)
 from .genus import (SIDE_WHITE, build_pipeline, enumerate_permissible_partitions,
@@ -28,12 +30,6 @@ def _load_graph(path: str) -> StarGraph:
     return parse_stg(Path(path).read_text())
 
 
-def _require_valid(g: StarGraph) -> None:
-    violations = validate(g)
-    if violations:
-        raise InvalidGraphError(violations)
-
-
 def _default_threads(args) -> int:
     return args.threads if args.threads else (os.cpu_count() or 1)
 
@@ -42,9 +38,22 @@ def _resolve_cap(args) -> int | None:
     if args.cap is not None:
         return args.cap
     env = os.environ.get("STARGENUS_ORACLE_CAP")
-    if env is not None:
+    if env is None:
+        return DEFAULT_CAP
+    try:
         return int(env)
-    return DEFAULT_CAP
+    except ValueError:
+        raise ValueError(f"STARGENUS_ORACLE_CAP must be an integer, got {env!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
 
 
 def _witness_json(side: dict[int, str]) -> dict[str, str]:
@@ -75,8 +84,7 @@ def cmd_validate(args) -> int:
 
 def cmd_orient(args) -> int:
     g = _load_graph(args.graph)
-    _require_valid(g)
-    from .core_graph import find_source_sink_orientation
+    require_valid(g)
     orientation = find_source_sink_orientation(g)
     if orientation is None:
         return _print_not_source_sink(args.json)
@@ -106,7 +114,6 @@ def cmd_cover(args) -> int:
 
 def cmd_circuit(args) -> int:
     g = _load_graph(args.graph)
-    _require_valid(g)
     try:
         pipe = build_pipeline(g)
     except NotSourceSinkError:
@@ -119,7 +126,6 @@ def cmd_circuit(args) -> int:
 
 def cmd_diagram(args) -> int:
     g = _load_graph(args.graph)
-    _require_valid(g)
     try:
         pipe = build_pipeline(g)
     except NotSourceSinkError:
@@ -127,7 +133,6 @@ def cmd_diagram(args) -> int:
     star = pipe.star_diagram
     print(f"circle: {star.n_points}")
     for att in star.attachments:
-        from .chords import Chord, Triad
         if isinstance(att, Chord):
             print(f"chord {att.points[0]} {att.points[1]}")
         elif isinstance(att, Triad):
@@ -140,12 +145,11 @@ def cmd_diagram(args) -> int:
 
 def cmd_genus(args) -> int:
     g = _load_graph(args.graph)
-    _require_valid(g)
     try:
         pipe = build_pipeline(g)
     except NotSourceSinkError:
         return _print_not_source_sink(args.json)
-    result = min_genus_of_pipeline(pipe, threads=_default_threads(args))
+    result = min_genus_of_pipeline(pipe)
     if args.json:
         payload = {
             "source_sink": True,
@@ -166,7 +170,6 @@ def cmd_genus(args) -> int:
 
 def cmd_planar(args) -> int:
     g = _load_graph(args.graph)
-    _require_valid(g)
     try:
         pipe = build_pipeline(g)
     except NotSourceSinkError:
@@ -190,7 +193,6 @@ def cmd_planar(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
-    _require_valid(g)
     try:
         genus, coloring = min_genus_bruteforce(
             g, cap=_resolve_cap(args), threads=_default_threads(args))
@@ -214,12 +216,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_check(args) -> int:
     g = _load_graph(args.graph)
-    _require_valid(g)
-    threads = _default_threads(args)
     try:
         pipe = build_pipeline(g)
-        result = min_genus_of_pipeline(pipe, threads=threads)
-        oracle_genus, _ = min_genus_bruteforce(g, cap=_resolve_cap(args), threads=threads)
+        result = min_genus_of_pipeline(pipe)
+        oracle_genus, _ = min_genus_bruteforce(g, cap=_resolve_cap(args),
+                                               threads=_default_threads(args))
     except NotSourceSinkError:
         return _print_not_source_sink(args.json)
     agree = result.min_genus == oracle_genus
@@ -276,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
         if json_flag:
             p.add_argument("--json", action="store_true", help="emit JSON")
         if threads:
-            p.add_argument("--threads", type=int, default=None,
-                           help="worker threads (default: all cores)")
+            p.add_argument("--threads", type=_positive_int, default=None,
+                           help="oracle worker threads (default: all cores); "
+                                "the genus search is serial")
         if cap:
             p.add_argument("--cap", type=int, default=None,
                            help="vertex cap for brute-force enumeration "

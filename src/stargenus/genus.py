@@ -5,16 +5,20 @@ chords of a triad stay on the vertex's side, the two halves of a double
 chord take opposite sides (the vertex's side bit is the side of its p+
 chord). The genus of a partition is half the sum of the GF(2) ranks of the
 two principal submatrices of the intersection matrix, and the minimal genus
-is the minimum over all 2^n partitions. Planarity (genus 0) does not need
-the scan: it reduces to 2-colouring the chords so that linked chords and
-double-chord halves disagree while triad halves agree, solved with a parity
-union-find in near-quadratic total time.
+is the minimum over all 2^n partitions. The search for it is an exact
+branch-and-bound: a depth-first walk over the vertices in ascending order,
+W before B, with the first vertex fixed to W by side-swap symmetry. Each
+side's rank is kept incrementally in a `SymplecticBasis`, and since a
+partial rank bounds the final one from below, a branch is cut as soon as
+its half rank sum reaches the best genus found. Planarity (genus 0) does
+not need the search: it reduces to 2-colouring the chords so that linked
+chords and double-chord halves disagree while triad halves agree, solved
+with a parity union-find in near-quadratic total time.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -24,7 +28,7 @@ from .circuit import (EulerCircuit, TransitionSystem, VertexClass,
                       classify_vertices, find_rs_circuit)
 from .core_graph import Orientation, StarGraph, find_source_sink_orientation, require_valid
 from .errors import InvariantViolation, NotSourceSinkError
-from .gf2 import BitMatrix, masked_rank, rank_of_rows
+from .gf2 import BitMatrix, SymplecticBasis, masked_rank
 from .union_find import ParityUnionFind
 
 SIDE_WHITE = "W"
@@ -139,28 +143,6 @@ def _side_masks(diagram: ChordDiagram, vertices: list[int]) -> tuple[list[int], 
     return mask_w, mask_b
 
 
-def _scan_codes(rows: tuple[int, ...], n_chords: int, mask_w: list[int],
-                mask_b: list[int], lo: int, hi: int) -> tuple[int, int, int, int]:
-    """Best (genus, code, rank_w, rank_b) over codes in [lo, hi)."""
-    n = len(mask_w)
-    full = (1 << n_chords) - 1
-    best: Optional[tuple[int, int, int, int]] = None
-    for code in range(lo, hi):
-        wm = 0
-        for k in range(n):
-            wm |= mask_b[k] if (code >> (n - 1 - k)) & 1 else mask_w[k]
-        bm = full & ~wm
-        rw = rank_of_rows(rows[i] & wm for i in _bits(wm))
-        rb = rank_of_rows(rows[i] & bm for i in _bits(bm))
-        if (rw + rb) & 1:
-            raise InvariantViolation("odd rank sum for a permissible partition")
-        cand = ((rw + rb) >> 1, code, rw, rb)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
-
-
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -168,38 +150,71 @@ def _bits(mask: int):
         mask ^= low
 
 
-def min_genus(g: StarGraph, threads: Optional[int] = None) -> GenusResult:
-    """Scan all permissible partitions; ties break to the lexicographically
-    least side assignment (W before B, ascending vertex ids).
+def _branch_and_bound(rows: tuple[int, ...], mask_w: list[int],
+                      mask_b: list[int]) -> tuple[int, int, int, int]:
+    """Least (genus, code, rank_w, rank_b) by depth-first search over the
+    vertices in order, W before B, so leaves come in ascending code order.
 
-    `threads` > 1 splits the code range into chunks evaluated concurrently;
-    the reduction is a commutative min over (genus, code) so the result is
-    identical for every thread count.
+    Flipping every vertex swaps the two chord sets, so the least optimal
+    code has its top bit 0 and the first vertex is fixed to W. A partial
+    side rank bounds the final one from below (a principal submatrix never
+    has larger rank), so a node whose half rank sum reaches the best genus
+    found is cut; the first optimal leaf is therefore the least one.
+    """
+    n = len(mask_w)
+    chords_w = [tuple(_bits(m)) for m in mask_w]
+    chords_b = [tuple(_bits(m)) for m in mask_b]
+    best_genus = len(rows)  # above any genus, which is at most half the chords
+    best = None
+    empty = SymplecticBasis(rows)
+    # (vertex, code with that vertex's bit last, white basis, black basis);
+    # an explicit stack, so depth is not bounded by the recursion limit
+    stack = [(0, 0, empty, empty)]
+    while stack:
+        k, code, white, black = stack.pop()
+        if (white.rank + black.rank) // 2 >= best_genus:  # best improved since the push
+            continue
+        to_white, to_black = (chords_b[k], chords_w[k]) if code & 1 else \
+            (chords_w[k], chords_b[k])
+        for i in to_white:
+            white = white.add(i)
+        for i in to_black:
+            black = black.add(i)
+        bound = (white.rank + black.rank) // 2
+        if bound >= best_genus:
+            continue
+        if k + 1 == n:
+            best_genus = bound
+            best = (bound, code, white.rank, black.rank)
+        else:
+            stack.append((k + 1, code << 1 | 1, white, black))
+            stack.append((k + 1, code << 1, white, black))
+    assert best is not None
+    return best
+
+
+def min_genus(g: StarGraph, threads: Optional[int] = None) -> GenusResult:
+    """Least genus over the permissible partitions; ties break to the
+    lexicographically least side assignment (W before B, ascending vertex
+    ids). `threads` is accepted for compatibility and ignored: the search is
+    serial.
     """
     pipe = build_pipeline(g)
     return min_genus_of_pipeline(pipe, threads=threads)
 
 
 def min_genus_of_pipeline(pipe: Pipeline, threads: Optional[int] = None) -> GenusResult:
+    """`min_genus` on a built pipeline. Raises InvariantViolation when
+    `masked_rank` does not reproduce the search's ranks at the witness;
+    those are twice a pair count, so an odd rank sum fails this check too."""
     vertices = sorted(pipe.graph.vertices)
-    n = len(vertices)
     mask_w, mask_b = _side_masks(pipe.diagram, vertices)
-    rows = pipe.matrix.rows
-    n_chords = pipe.matrix.n
-    total = 1 << n
-
-    if threads is None or threads <= 1 or total < 4096:
-        best = _scan_codes(rows, n_chords, mask_w, mask_b, 0, total)
-    else:
-        chunk = max(1024, total // (threads * 8))
-        ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda r: _scan_codes(rows, n_chords, mask_w, mask_b, *r), ranges))
-        best = min(results)
-
-    genus, code, rw, rb = best
+    genus, code, rw, rb = _branch_and_bound(pipe.matrix.rows, mask_w, mask_b)
     witness = partition_from_code(pipe.diagram, vertices, code)
+    checked = rank_pair(pipe.matrix, witness)
+    if checked != (rw, rb):
+        raise InvariantViolation(f"witness ranks {checked} differ from the "
+                                 f"search's {(rw, rb)}")
     return GenusResult(genus, witness, (rw, rb))
 
 

@@ -98,6 +98,51 @@ def principal_submatrix(m: BitMatrix, indices: list[int]) -> BitMatrix:
     return BitMatrix(len(indices), tuple(rows))
 
 
+class SymplecticBasis:
+    """Rank of a growing principal submatrix of a symmetric zero-diagonal
+    matrix, one index at a time.
+
+    Such a matrix is an alternating form over GF(2), so the span of the
+    inserted unit vectors splits into hyperbolic pairs (u, v) with
+    B(u, v) = 1, orthogonal to each other and to a radical; the rank of the
+    principal submatrix is twice the number of pairs. A basis vector is
+    stored only as its image under the matrix: B(e_i, a) is bit i of the
+    image of a, and that is all an insertion reads. Inserting e_i projects
+    it off every pair, then pairs it with the first radical vector it meets,
+    so the rank grows by 0 or 2 in O(m) word operations. Instances are
+    immutable: `add` returns a new basis, so a search can branch freely.
+    """
+
+    __slots__ = ("rows", "pairs", "radical")
+
+    def __init__(self, rows: tuple[int, ...], pairs: tuple[tuple[int, int], ...] = (),
+                 radical: tuple[int, ...] = ()):
+        self.rows = rows
+        self.pairs = pairs
+        self.radical = radical
+
+    @property
+    def rank(self) -> int:
+        return 2 * len(self.pairs)
+
+    def add(self, i: int) -> SymplecticBasis:
+        """The basis after inserting index i (not inserted before)."""
+        x = self.rows[i]
+        for u, v in self.pairs:
+            if v >> i & 1:
+                x ^= u
+            if u >> i & 1:
+                x ^= v
+        radical = self.radical
+        for k, r in enumerate(radical):
+            if r >> i & 1:
+                rest = tuple(s ^ r if s >> i & 1 else s for s in radical[k + 1:])
+                return SymplecticBasis(self.rows, self.pairs + ((r, x),),
+                                       radical[:k] + rest)
+        # a zero image pairs with nothing, so it need not be kept
+        return SymplecticBasis(self.rows, self.pairs, radical + (x,) if x else radical)
+
+
 def masked_rank(m: BitMatrix, indices) -> int:
     """Rank of the principal submatrix on `indices`, without repacking.
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -28,6 +30,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_within(seconds, capsys, *argv):
+    """`run`, failing with TimeoutError instead of hanging past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{argv} ran past {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # --- gen and validate ------------------------------------------------------
@@ -168,6 +183,20 @@ def test_genus_not_source_sink(capsys, stg):
     assert json.loads(out) == {"source_sink": False}
 
 
+@pytest.mark.parametrize("k", [40, 1500])
+def test_genus_on_long_chains_is_bounded(capsys, stg, k):
+    # chain(40) was a 2^40 scan; chain(1500) is deeper than the default
+    # recursion limit
+    path = stg("c", chain(k))
+    start = time.perf_counter()
+    code, out, _ = run_within(10, capsys, "genus", path)
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "min genus: 0"
+    assert lines[2] == "witness: " + " ".join(f"{v}=W" for v in range(k))
+
+
 def test_planar_exits(capsys, stg):
     code, out, _ = run(capsys, "planar", stg("h", ghopf()))
     assert code == 0
@@ -200,6 +229,26 @@ def test_oracle_cap_flag_and_env(capsys, stg, monkeypatch):
     code, out, _ = run(capsys, "oracle", path, "--cap", "5")
     assert code == 0
     assert "min genus: 0" in out
+
+
+def test_oracle_cap_env_must_be_an_integer(capsys, stg, monkeypatch):
+    monkeypatch.setenv("STARGENUS_ORACLE_CAP", "abc")
+    path = stg("h", ghopf())
+    for cmd in ("oracle", "check"):
+        code, out, err = run(capsys, cmd, path)
+        assert (code, out) == (2, ""), cmd
+        assert err == "STARGENUS_ORACLE_CAP must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_threads_below_one_rejected(capsys, stg, value):
+    path = stg("h", ghopf())
+    for cmd in ("genus", "oracle", "check"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, path, "--threads", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --threads: must be an integer of at least 1, got '{value}'" in err
 
 
 def test_check_agreement(capsys, stg):

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from stargenus.errors import InvalidGraphError, NotSourceSinkError
+from stargenus.errors import InvalidGraphError, InvariantViolation, NotSourceSinkError
 from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx
 from stargenus.genus import (build_pipeline, enumerate_permissible_partitions,
                              genus_of_partition, is_planar, min_genus,
                              min_genus_of_pipeline, partition_from_code,
                              planarity_of_pipeline, rank_pair)
-from stargenus.gf2 import masked_rank
+from stargenus.gf2 import BitMatrix, masked_rank
 
 
 def test_pipeline_rejects_invalid_and_unorientable():
@@ -104,12 +106,26 @@ def test_min_genus_bounds(random_corpus):
         assert genus_of_partition(pipe.matrix, result.witness) == result.min_genus
 
 
-def test_min_genus_matches_full_scan(random_corpus):
-    for g in random_corpus[:25]:
+def test_min_genus_matches_full_scan(small_source_sink, random_corpus):
+    # the search must return the least code of least genus, as the flat scan does
+    for g in small_source_sink + random_corpus:
         pipe = build_pipeline(g)
-        best = min(genus_of_partition(pipe.matrix, p)
-                   for p in enumerate_permissible_partitions(pipe.diagram))
-        assert min_genus_of_pipeline(pipe).min_genus == best
+        least = min(enumerate_permissible_partitions(pipe.diagram),
+                    key=lambda p: genus_of_partition(pipe.matrix, p))
+        result = min_genus_of_pipeline(pipe)
+        assert result.min_genus == genus_of_partition(pipe.matrix, least)
+        assert result.witness.side == least.side
+        assert result.ranks == rank_pair(pipe.matrix, least)
+
+
+def test_search_cross_checks_witness_ranks():
+    # gt3c's two triad halves are linked; dropping one direction of the link
+    # gives masked_rank 1 at the only witness, where the search assumes 2
+    pipe = build_pipeline(gt3c())
+    assert pipe.matrix.rows == (0b10, 0b01)
+    lopsided = dataclasses.replace(pipe, matrix=BitMatrix(2, (0b10, 0b00)))
+    with pytest.raises(InvariantViolation):
+        min_genus_of_pipeline(lopsided)
 
 
 def test_min_genus_thread_invariant():

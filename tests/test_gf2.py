@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from stargenus.gf2 import (BitMatrix, corank, masked_rank, principal_submatrix,
-                           rank, rank_of_rows)
+from stargenus.gf2 import (BitMatrix, SymplecticBasis, corank, masked_rank,
+                           principal_submatrix, rank, rank_of_rows)
 
 
-def random_symmetric_zero_diagonal(rng, n):
+def random_symmetric_zero_diagonal(rng, n, density=0.5):
     rows = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < 0.5:
+            if rng.random() < density:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return BitMatrix(n, tuple(rows))
@@ -88,3 +88,18 @@ def test_submatrix_rank_monotone():
 
 def test_rank_of_rows_accepts_generators():
     assert rank_of_rows(r for r in (0b110, 0b011, 0b101)) == 2
+
+
+def test_symplectic_basis_tracks_masked_rank():
+    # sparse matrices keep long radicals, dense ones pair up quickly
+    for seed in range(60):
+        rng = random.Random(9000 + seed)
+        n = rng.randint(1, 24)
+        m = random_symmetric_zero_diagonal(rng, n, density=rng.choice((0.1, 0.3, 0.5, 0.8)))
+        order = rng.sample(range(n), n)
+        bases = [SymplecticBasis(m.rows)]
+        for i in order:
+            bases.append(bases[-1].add(i))
+        # every basis, earlier ones included, keeps the rank of its prefix
+        for k, basis in enumerate(bases):
+            assert basis.rank == masked_rank(m, order[:k])
