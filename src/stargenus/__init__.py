@@ -6,9 +6,9 @@ from .chords import (Chord, ChordDiagram, ChordGroup, DoubleChord, StarChordDiag
 from .circuit import (EulerCircuit, TransitionSystem, VertexClass, Visit,
                       classify_local, classify_vertices, cycles_of,
                       find_rs_circuit, initial_transition_system)
-from .core_graph import (Angle, Edge, HalfEdgeRef, Orientation, StarGraph,
-                         double_cover, find_source_sink_orientation, is_source_sink,
-                         parse_stg, serialize_stg, validate)
+from .core_graph import (Edge, HalfEdgeRef, Orientation, StarGraph, double_cover,
+                         find_source_sink_orientation, is_source_sink, parse_stg,
+                         serialize_stg, validate)
 from .errors import (InvalidGraphError, InvariantViolation, NotSourceSinkError,
                      OracleCapExceeded, StarGenusError, StgParseError)
 from .genus import (GenusResult, PermissiblePartition, Pipeline, PlanarityResult,

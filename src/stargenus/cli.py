@@ -22,16 +22,12 @@ from .errors import (InvalidGraphError, NotSourceSinkError, OracleCapExceeded,
                      StgParseError)
 from .genus import (SIDE_WHITE, build_pipeline, enumerate_permissible_partitions,
                     genus_of_partition, min_genus_of_pipeline, planarity_of_pipeline)
-from .oracle import (DEFAULT_CAP, coloring_of_partition, min_genus_bruteforce,
-                     trace_faces)
+from .oracle import (DEFAULT_CAP, chord_region_parity, min_genus_bruteforce,
+                     partition_coloring_code, traced_genera)
 
 
 def _load_graph(path: str) -> StarGraph:
     return parse_stg(Path(path).read_text())
-
-
-def _default_threads(args) -> int:
-    return args.threads if args.threads else (os.cpu_count() or 1)
 
 
 def _resolve_cap(args) -> int | None:
@@ -41,19 +37,26 @@ def _resolve_cap(args) -> int | None:
     if env is None:
         return DEFAULT_CAP
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
         raise ValueError(f"STARGENUS_ORACLE_CAP must be an integer, got {env!r}") from None
+    if cap < 0:
+        raise ValueError(f"STARGENUS_ORACLE_CAP must be at least 0, got {env!r}")
+    return cap
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type accepting integers of at least `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer of at least {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _witness_json(side: dict[int, str]) -> dict[str, str]:
@@ -194,8 +197,7 @@ def cmd_planar(args) -> int:
 def cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
     try:
-        genus, coloring = min_genus_bruteforce(
-            g, cap=_resolve_cap(args), threads=_default_threads(args))
+        genus, coloring = min_genus_bruteforce(g, cap=_resolve_cap(args))
     except NotSourceSinkError:
         return _print_not_source_sink(args.json)
     if args.json:
@@ -219,20 +221,19 @@ def cmd_check(args) -> int:
     try:
         pipe = build_pipeline(g)
         result = min_genus_of_pipeline(pipe)
-        oracle_genus, _ = min_genus_bruteforce(g, cap=_resolve_cap(args),
-                                               threads=_default_threads(args))
+        traced = traced_genera(g, cap=_resolve_cap(args))
     except NotSourceSinkError:
         return _print_not_source_sink(args.json)
+    oracle_genus = int(traced.min())
     agree = result.min_genus == oracle_genus
 
     checked = mismatches = 0
     if args.all_partitions:
+        region = chord_region_parity(pipe)
         for partition in enumerate_permissible_partitions(pipe.diagram):
             rank_genus = genus_of_partition(pipe.matrix, partition)
-            traced = trace_faces(g, pipe.orientation,
-                                 coloring_of_partition(pipe, partition))
             checked += 1
-            if rank_genus != traced.genus:
+            if rank_genus != traced[partition_coloring_code(region, partition)]:
                 mismatches += 1
 
     ok = agree and mismatches == 0
@@ -277,11 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
         if json_flag:
             p.add_argument("--json", action="store_true", help="emit JSON")
         if threads:
-            p.add_argument("--threads", type=_positive_int, default=None,
-                           help="oracle worker threads (default: all cores); "
-                                "the genus search is serial")
+            p.add_argument("--threads", type=_int_at_least(1), default=None,
+                           help="accepted for compatibility; changes nothing, "
+                                "since the genus search and the oracle are serial")
         if cap:
-            p.add_argument("--cap", type=int, default=None,
+            p.add_argument("--cap", type=_int_at_least(0), default=None,
                            help="vertex cap for brute-force enumeration "
                                 "(default: env STARGENUS_ORACLE_CAP or 20)")
         if output:

@@ -52,17 +52,6 @@ class Edge:
         return self.b if ref == self.a else self.a
 
 
-@dataclass(frozen=True)
-class Angle:
-    """The angular sector between consecutive slots (i, i+1 mod d) at a vertex."""
-
-    vertex: int
-    index: int  # the lower slot i of the pair, taken mod degree
-
-    def slots(self, degree: int) -> tuple[int, int]:
-        return (self.index, (self.index + 1) % degree)
-
-
 class StarGraph:
     """Immutable-by-convention star graph.
 
@@ -103,11 +92,6 @@ class StarGraph:
     def edge_at(self, v: int, slot: int) -> Optional[Edge]:
         """The edge covering slot `slot` of vertex v, if any."""
         return self._at.get((v, slot))
-
-    def half_edges(self) -> Iterable[HalfEdgeRef]:
-        for v in sorted(self.vertices):
-            for s in range(self.vertices[v]):
-                yield HalfEdgeRef(v, s)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StarGraph):

@@ -90,31 +90,56 @@ class PlanarityResult:
     conflict: Optional[tuple[int, ...]] = None  # odd chord cycle otherwise
 
 
-def _chord_is_white(group, vertex_is_black: bool) -> bool:
-    flip = group.kind == "dchord" and group.plus is False
-    return vertex_is_black == flip
+def _side_chords(diagram: ChordDiagram,
+                 vertices: list[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """The chord side rule, per vertex: the chords that are white when the
+    vertex is W, and those white when it is B (each in ascending order). A
+    double chord's p- half takes the side opposite its vertex; every other
+    chord takes its vertex's side."""
+    index = {v: k for k, v in enumerate(vertices)}
+    chords_w: list[list[int]] = [[] for _ in vertices]
+    chords_b: list[list[int]] = [[] for _ in vertices]
+    for i, grp in enumerate(diagram.groups):
+        k = index[grp.vertex]
+        if grp.kind == "dchord" and grp.plus is False:
+            chords_b[k].append(i)
+        else:
+            chords_w[k].append(i)
+    return chords_w, chords_b
+
+
+def _partition(vertices: list[int], chords_w: list[list[int]], chords_b: list[list[int]],
+               code: int) -> PermissiblePartition:
+    n = len(vertices)
+    side: dict[int, str] = {}
+    white: list[int] = []
+    black: list[int] = []
+    for k, v in enumerate(vertices):
+        if (code >> (n - 1 - k)) & 1:
+            side[v] = SIDE_BLACK
+            white += chords_b[k]
+            black += chords_w[k]
+        else:
+            side[v] = SIDE_WHITE
+            white += chords_w[k]
+            black += chords_b[k]
+    white.sort()
+    black.sort()
+    return PermissiblePartition(side, tuple(white), tuple(black))
 
 
 def partition_from_code(diagram: ChordDiagram, vertices: list[int],
                         code: int) -> PermissiblePartition:
     """Bit k of `code` (big-endian over ascending vertices) = 1 means B."""
-    n = len(vertices)
-    black_bits = {v: (code >> (n - 1 - k)) & 1 for k, v in enumerate(vertices)}
-    side = {v: SIDE_BLACK if b else SIDE_WHITE for v, b in black_bits.items()}
-    white, black = [], []
-    for i, grp in enumerate(diagram.groups):
-        if _chord_is_white(grp, bool(black_bits[grp.vertex])):
-            white.append(i)
-        else:
-            black.append(i)
-    return PermissiblePartition(side, tuple(white), tuple(black))
+    return _partition(vertices, *_side_chords(diagram, vertices), code)
 
 
 def enumerate_permissible_partitions(diagram: ChordDiagram) -> Iterator[PermissiblePartition]:
     """All 2^n partitions, in ascending order of the side bit-vector."""
     vertices = sorted({grp.vertex for grp in diagram.groups})
+    chords_w, chords_b = _side_chords(diagram, vertices)
     for code in range(1 << len(vertices)):
-        yield partition_from_code(diagram, vertices, code)
+        yield _partition(vertices, chords_w, chords_b, code)
 
 
 def rank_pair(matrix: BitMatrix, partition: PermissiblePartition) -> tuple[int, int]:
@@ -129,29 +154,8 @@ def genus_of_partition(matrix: BitMatrix, partition: PermissiblePartition) -> in
     return (rw + rb) // 2
 
 
-def _side_masks(diagram: ChordDiagram, vertices: list[int]) -> tuple[list[int], list[int]]:
-    """Per-vertex chord masks: chords white when the vertex is W / when B."""
-    index = {v: k for k, v in enumerate(vertices)}
-    mask_w = [0] * len(vertices)
-    mask_b = [0] * len(vertices)
-    for i, grp in enumerate(diagram.groups):
-        k = index[grp.vertex]
-        if grp.kind == "dchord" and grp.plus is False:
-            mask_b[k] |= 1 << i
-        else:
-            mask_w[k] |= 1 << i
-    return mask_w, mask_b
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _branch_and_bound(rows: tuple[int, ...], mask_w: list[int],
-                      mask_b: list[int]) -> tuple[int, int, int, int]:
+def _branch_and_bound(rows: tuple[int, ...], chords_w: list[list[int]],
+                      chords_b: list[list[int]]) -> tuple[int, int, int, int]:
     """Least (genus, code, rank_w, rank_b) by depth-first search over the
     vertices in order, W before B, so leaves come in ascending code order.
 
@@ -161,9 +165,7 @@ def _branch_and_bound(rows: tuple[int, ...], mask_w: list[int],
     has larger rank), so a node whose half rank sum reaches the best genus
     found is cut; the first optimal leaf is therefore the least one.
     """
-    n = len(mask_w)
-    chords_w = [tuple(_bits(m)) for m in mask_w]
-    chords_b = [tuple(_bits(m)) for m in mask_b]
+    n = len(chords_w)
     best_genus = len(rows)  # above any genus, which is at most half the chords
     best = None
     empty = SymplecticBasis(rows)
@@ -208,9 +210,9 @@ def min_genus_of_pipeline(pipe: Pipeline, threads: Optional[int] = None) -> Genu
     `masked_rank` does not reproduce the search's ranks at the witness;
     those are twice a pair count, so an odd rank sum fails this check too."""
     vertices = sorted(pipe.graph.vertices)
-    mask_w, mask_b = _side_masks(pipe.diagram, vertices)
-    genus, code, rw, rb = _branch_and_bound(pipe.matrix.rows, mask_w, mask_b)
-    witness = partition_from_code(pipe.diagram, vertices, code)
+    chords_w, chords_b = _side_chords(pipe.diagram, vertices)
+    genus, code, rw, rb = _branch_and_bound(pipe.matrix.rows, chords_w, chords_b)
+    witness = _partition(vertices, chords_w, chords_b, code)
     checked = rank_pair(pipe.matrix, witness)
     if checked != (rw, rb):
         raise InvariantViolation(f"witness ranks {checked} differ from the "

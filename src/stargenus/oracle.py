@@ -4,21 +4,36 @@ Fixing a source-sink orientation, every per-vertex choice of which angle
 class is white determines a checkerboard surface: white faces are traced
 forward through white angles, black faces backward through black angles,
 and the genus falls out of the Euler characteristic. Minimizing over all
-2^n colourings is an independent check on the rank-based computation, kept
-deliberately naive and capped.
+2^n colourings is an independent check on the rank-based computation: it
+shares no code with the chord diagrams, the GF(2) matrices or the rank
+search, and it is capped.
+
+The face-successor rule is written once, in `_successor_tables`, which
+gives for every edge its next edge on the white and on the black face for
+either colour bit of the vertex the face passes through. `trace_faces`
+walks those tables for one colouring. `traced_genera` builds them once per
+graph and counts the faces of `BATCH` colourings per numpy pass: each
+colouring's successor permutation is selected with `np.where`, and its
+cycles are counted by pointer jumping, labelling every edge with the least
+edge of its orbit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .core_graph import Orientation, StarGraph, find_source_sink_orientation, require_valid
+import numpy as np
+
+from .core_graph import (HalfEdgeRef, Orientation, StarGraph, find_source_sink_orientation,
+                         require_valid)
 from .errors import InvariantViolation, NotSourceSinkError, OracleCapExceeded
 from .genus import Pipeline, PermissiblePartition, SIDE_BLACK
 
 DEFAULT_CAP = 20
+# Colourings per numpy pass. A pass holds a few int32 arrays of BATCH x 2 x edges;
+# on 12-14 vertex graphs 1,024 was no faster than 256 and raised peak memory.
+BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -36,57 +51,74 @@ class FaceCount:
     genus: int
 
 
-def _face_maps(g: StarGraph, orientation: Orientation):
-    heads: dict[tuple[int, int], int] = {}
-    tails: dict[tuple[int, int], int] = {}
-    for eid, (tail, head) in orientation.direction.items():
-        tails[(tail.vertex, tail.slot)] = eid
-        heads[(head.vertex, head.slot)] = eid
-    return heads, tails
+@dataclass(frozen=True)
+class _SuccessorTables:
+    """Face successors by edge index (the position in ascending edge id order).
+
+    white[c][e] is the edge after e on its white face when the head vertex
+    of e has colour bit c; black[c][e] likewise through the tail vertex.
+    head[e] and tail[e] index `vertices`, the ascending vertex ids.
+    """
+
+    vertices: tuple[int, ...]
+    head: tuple[int, ...]
+    tail: tuple[int, ...]
+    white: tuple[tuple[int, ...], tuple[int, ...]]
+    black: tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _cycle_count(edge_ids, successor) -> int:
-    seen: set[int] = set()
+def _successor_tables(g: StarGraph, orientation: Orientation) -> _SuccessorTables:
+    """The face-successor rule. A white face arriving at head slot s
+    continues out of the other slot of the white angle flanking s; a black
+    face is followed backward from tail slots through black angles. The
+    angle (i, i+1) at a vertex is white when i = bit mod 2."""
+    ends = [orientation.direction[eid] for eid in sorted(orientation.direction)]
+    tails = {(t.vertex, t.slot): e for e, (t, _) in enumerate(ends)}
+    heads = {(h.vertex, h.slot): e for e, (_, h) in enumerate(ends)}
+
+    def mates(ref: HalfEdgeRef) -> tuple[tuple[int, int], tuple[int, int]]:
+        # [p]: the other slot of the angle at ref whose lower slot is p mod 2
+        v, s = ref.vertex, ref.slot
+        d = g.vertices[v]
+        down, up = (v, (s - 1) % d), (v, (s + 1) % d)
+        return (down, up) if s % 2 else (up, down)
+
+    at_head = [mates(h) for _, h in ends]
+    at_tail = [mates(t) for t, _ in ends]
+    vertices = tuple(sorted(g.vertices))
+    index = {v: k for k, v in enumerate(vertices)}
+    return _SuccessorTables(
+        vertices,
+        head=tuple(index[h.vertex] for _, h in ends),
+        tail=tuple(index[t.vertex] for t, _ in ends),
+        white=tuple(tuple(tails[m[c]] for m in at_head) for c in (0, 1)),
+        black=tuple(tuple(heads[m[1 - c]] for m in at_tail) for c in (0, 1)))
+
+
+def _cycle_count(successor: list[int]) -> int:
+    seen = [False] * len(successor)
     cycles = 0
-    for start in edge_ids:
-        if start in seen:
+    for start in range(len(successor)):
+        if seen[start]:
             continue
         cycles += 1
         e = start
-        while e not in seen:
-            seen.add(e)
-            e = successor(e)
+        while not seen[e]:
+            seen[e] = True
+            e = successor[e]
     return cycles
 
 
 def trace_faces(g: StarGraph, orientation: Orientation, coloring: AtomColoring) -> FaceCount:
     """Face counts and genus of the checkerboard surface for one colouring.
 
-    A white face is followed forward: arriving at head slot s, it continues
-    out of the other slot of the white angle flanking s. A black face is
-    followed backward from tail slots through black angles. Both successor
-    maps are permutations of the edge set, so the cycle counts are faces.
+    Both successor maps are permutations of the edge set, so their cycle
+    counts are the white and the black faces.
     """
-    heads, tails = _face_maps(g, orientation)
-    bits = coloring.bits
-    ids = sorted(orientation.direction)
-
-    def white_next(eid: int) -> int:
-        head = orientation.head(eid)
-        v, s, d = head.vertex, head.slot, g.vertices[head.vertex]
-        down = (s - 1) % d
-        mate = down if down % 2 == bits[v] else (s + 1) % d
-        return tails[(v, mate)]
-
-    def black_next(eid: int) -> int:
-        tail = orientation.tail(eid)
-        v, s, d = tail.vertex, tail.slot, g.vertices[tail.vertex]
-        down = (s - 1) % d
-        mate = down if down % 2 == 1 - bits[v] else (s + 1) % d
-        return heads[(v, mate)]
-
-    white = _cycle_count(ids, white_next)
-    black = _cycle_count(ids, black_next)
+    t = _successor_tables(g, orientation)
+    bit = [coloring.bits[v] for v in t.vertices]
+    white = _cycle_count([t.white[bit[h]][e] for e, h in enumerate(t.head)])
+    black = _cycle_count([t.black[bit[v]][e] for e, v in enumerate(t.tail)])
     euler = g.n_vertices - g.n_edges + white + black
     if euler % 2:
         raise InvariantViolation("odd Euler characteristic")
@@ -96,44 +128,74 @@ def trace_faces(g: StarGraph, orientation: Orientation, coloring: AtomColoring) 
     return FaceCount(white, black, euler, genus)
 
 
+def traced_genera(g: StarGraph, cap: Optional[int] = DEFAULT_CAP) -> np.ndarray:
+    """The traced genus of every colouring, indexed by its code.
+
+    Bit k of a code (big-endian over ascending vertex ids) is the colour bit
+    of the k-th vertex. Refuses graphs above `cap` vertices (None disables
+    the cap). Raises InvariantViolation when a colouring's Euler
+    characteristic is odd or its genus negative.
+    """
+    require_valid(g)
+    orientation = find_source_sink_orientation(g)
+    if orientation is None:
+        raise NotSourceSinkError("graph has no source-sink orientation")
+    if cap is not None and g.n_vertices > cap:
+        raise OracleCapExceeded(f"{g.n_vertices} vertices exceeds the enumeration cap {cap}")
+    t = _successor_tables(g, orientation)
+    n, m = len(t.vertices), len(t.head)
+    width = 2 * m  # one permutation of 2m slots: white faces on [0, m), black on [m, 2m)
+    table = np.array([t.white[0] + tuple(m + e for e in t.black[0]),
+                      t.white[1] + tuple(m + e for e in t.black[1])], dtype=np.int32)
+    vertex_of_slot = np.array(t.head + t.tail)
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    total = 1 << n
+    batch = min(BATCH, total)  # both are powers of two, so every batch is full
+    rounds = (m - 1).bit_length()  # 2^rounds >= m, the longest possible orbit
+    rows = np.arange(batch, dtype=np.int64)[:, None]
+    row_start = (rows * width).astype(np.int32)
+    slots = np.arange(batch * width, dtype=np.int32)
+    # genus <= (m - n) / 2 <= n, and n < 63 for codes to fit in int64
+    genera = np.empty(total, dtype=np.int8)
+    for lo in range(0, total, batch):
+        bits = ((lo + rows) >> shifts) & 1  # (colouring, vertex)
+        succ = np.where(bits[:, vertex_of_slot], table[1], table[0])
+        succ += row_start
+        succ = succ.ravel()
+        label = slots.copy()
+        jumped = np.empty_like(succ)
+        for _ in range(rounds):
+            np.take(label, succ, out=jumped, mode="wrap")  # "raise" would buffer `out`
+            np.minimum(label, jumped, out=label)
+            np.take(succ, succ, out=jumped, mode="wrap")
+            succ, jumped = jumped, succ
+        faces = (label == slots).reshape(batch, width).sum(axis=1)
+        euler = n - m + faces
+        if (euler % 2).any():
+            raise InvariantViolation("odd Euler characteristic")
+        genus = (2 - euler) // 2
+        if (genus < 0).any():
+            raise InvariantViolation("negative genus from face trace")
+        genera[lo:lo + batch] = genus
+    return genera
+
+
+def _coloring_of_code(vertices: list[int], code: int) -> AtomColoring:
+    n = len(vertices)
+    return AtomColoring({v: (code >> (n - 1 - k)) & 1 for k, v in enumerate(vertices)})
+
+
 def min_genus_bruteforce(g: StarGraph, cap: Optional[int] = DEFAULT_CAP,
                          threads: Optional[int] = None) -> tuple[int, AtomColoring]:
     """Minimum genus over all 2^n colourings, with the least witness.
 
     Refuses graphs above `cap` vertices (None disables the cap). Ties break
     to the lexicographically least bit vector over ascending vertex ids.
+    `threads` is accepted for compatibility and ignored: the scan is serial.
     """
-    require_valid(g)
-    orientation = find_source_sink_orientation(g)
-    if orientation is None:
-        raise NotSourceSinkError("graph has no source-sink orientation")
-    vertices = sorted(g.vertices)
-    n = len(vertices)
-    if cap is not None and n > cap:
-        raise OracleCapExceeded(f"{n} vertices exceeds the enumeration cap {cap}")
-
-    def scan(lo: int, hi: int) -> tuple[int, int]:
-        best: Optional[tuple[int, int]] = None
-        for code in range(lo, hi):
-            bits = {v: (code >> (n - 1 - k)) & 1 for k, v in enumerate(vertices)}
-            fc = trace_faces(g, orientation, AtomColoring(bits))
-            cand = (fc.genus, code)
-            if best is None or cand < best:
-                best = cand
-        assert best is not None
-        return best
-
-    total = 1 << n
-    if threads is None or threads <= 1 or total < 4096:
-        genus, code = scan(0, total)
-    else:
-        chunk = max(512, total // (threads * 8))
-        ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            genus, code = min(pool.map(lambda r: scan(*r), ranges))
-
-    bits = {v: (code >> (n - 1 - k)) & 1 for k, v in enumerate(vertices)}
-    return genus, AtomColoring(bits)
+    genera = traced_genera(g, cap)
+    code = int(np.argmin(genera))  # the first, hence least, code at the minimum
+    return int(genera[code]), _coloring_of_code(sorted(g.vertices), code)
 
 
 def oracle_min_genus(g: StarGraph, cap: Optional[int] = DEFAULT_CAP) -> int:
@@ -176,12 +238,19 @@ def chord_region_parity(pipe: Pipeline) -> dict[int, int]:
     return parity
 
 
-def coloring_of_partition(pipe: Pipeline, partition: PermissiblePartition) -> AtomColoring:
-    """The atom colouring whose checkerboard surface realizes the partition.
+def partition_coloring_code(region: dict[int, int], partition: PermissiblePartition) -> int:
+    """The code (as in `traced_genera`) of the colouring realizing a partition.
 
-    bit(v) = region parity of v, flipped when the vertex sits on side B.
+    bit(v) = region parity of v (see chord_region_parity), flipped when the
+    vertex sits on side B.
     """
-    region = chord_region_parity(pipe)
-    bits = {v: region[v] ^ (1 if partition.side[v] == SIDE_BLACK else 0)
-            for v in sorted(partition.side)}
-    return AtomColoring(bits)
+    code = 0
+    for v in sorted(partition.side):
+        code = (code << 1) | (region[v] ^ (partition.side[v] == SIDE_BLACK))
+    return code
+
+
+def coloring_of_partition(pipe: Pipeline, partition: PermissiblePartition) -> AtomColoring:
+    """The atom colouring whose checkerboard surface realizes the partition."""
+    code = partition_coloring_code(chord_region_parity(pipe), partition)
+    return _coloring_of_code(sorted(partition.side), code)

@@ -240,6 +240,27 @@ def test_oracle_cap_env_must_be_an_integer(capsys, stg, monkeypatch):
         assert err == "STARGENUS_ORACLE_CAP must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("cmd", ["oracle", "check"])
+def test_cap_below_zero_rejected(capsys, stg, monkeypatch, cmd):
+    path = stg("h", ghopf())
+    for value in ("-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, path, "--cap", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --cap: must be an integer of at least 0, got '{value}'" in err
+
+    monkeypatch.setenv("STARGENUS_ORACLE_CAP", "-1")
+    code, out, err = run(capsys, cmd, path)
+    assert (code, out) == (2, "")
+    assert err == "STARGENUS_ORACLE_CAP must be at least 0, got '-1'\n"
+
+    # zero is a valid cap that refuses every graph
+    code, _, err = run(capsys, cmd, path, "--cap", "0")
+    assert code == 2
+    assert err == "refused: 2 vertices exceeds the enumeration cap 0\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
 def test_threads_below_one_rejected(capsys, stg, value):
     path = stg("h", ghopf())

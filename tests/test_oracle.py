@@ -7,16 +7,20 @@ the genus of the surface traced from the corresponding colouring.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from stargenus.core_graph import find_source_sink_orientation
+from stargenus import cli
+from stargenus.core_graph import (Edge, HalfEdgeRef, StarGraph, find_source_sink_orientation,
+                                  serialize_stg)
 from stargenus.errors import NotSourceSinkError, OracleCapExceeded
 from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx
 from stargenus.genus import (build_pipeline, enumerate_permissible_partitions,
-                             genus_of_partition, min_genus_of_pipeline)
-from stargenus.oracle import (AtomColoring, chord_region_parity,
+                             genus_of_partition, min_genus, min_genus_of_pipeline)
+from stargenus.oracle import (BATCH, AtomColoring, chord_region_parity,
                               coloring_of_partition, min_genus_bruteforce,
-                              oracle_min_genus, trace_faces)
+                              oracle_min_genus, trace_faces, traced_genera)
 
 
 def test_trace_faces_g8_pinned():
@@ -139,3 +143,47 @@ def test_min_genus_agrees_with_bruteforce(random_corpus):
     for g in random_corpus[:80]:
         assert min_genus_of_pipeline(build_pipeline(g)).min_genus == \
             min_genus_bruteforce(g)[0]
+
+
+def test_traced_genera_match_trace_faces(small_source_sink, random_corpus):
+    # chain(12) has more codes than one batch, so batch boundaries are covered
+    assert 1 << 12 > BATCH
+    for g in small_source_sink + random_corpus[:40] + [chain(12)]:
+        o = find_source_sink_orientation(g)
+        n = g.n_vertices
+        verts = sorted(g.vertices)
+        genera = traced_genera(g, cap=None)
+        assert len(genera) == 1 << n
+        for code in range(1 << n):
+            bits = {v: (code >> (n - 1 - k)) & 1 for k, v in enumerate(verts)}
+            assert genera[code] == trace_faces(g, o, AtomColoring(bits)).genus
+
+
+def test_all_partitions_sweep_reports_a_wrong_genus(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "t.stg"
+    path.write_text(serialize_stg(gt3c()))
+    real = cli.genus_of_partition
+
+    def off_by_one_at_b(matrix, partition):
+        return real(matrix, partition) + (partition.side == {0: "B"})
+
+    monkeypatch.setattr(cli, "genus_of_partition", off_by_one_at_b)
+    assert cli.main(["check", str(path), "--all-partitions"]) == 1
+    assert "partitions: 2 checked, 1 mismatches" in capsys.readouterr().out
+
+
+def _relabel(g: StarGraph, new_id: dict[int, int]) -> StarGraph:
+    edges = [Edge(e.id, HalfEdgeRef(new_id[e.a.vertex], e.a.slot),
+                  HalfEdgeRef(new_id[e.b.vertex], e.b.slot)) for e in g.edges]
+    return StarGraph({new_id[v]: d for v, d in g.vertices.items()}, edges)
+
+
+def test_relabelling_vertices_keeps_min_genus(random_corpus):
+    rng = random.Random(20121220)
+    for g in rng.sample(random_corpus, 30):
+        ids = sorted(g.vertices)
+        shuffled = ids[:]
+        rng.shuffle(shuffled)
+        h = _relabel(g, dict(zip(ids, shuffled)))
+        assert min_genus(h).min_genus == min_genus(g).min_genus
+        assert oracle_min_genus(h) == oracle_min_genus(g)
