@@ -11,17 +11,14 @@ GF(2) intersection matrix and circle surgery are defined.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Union
-
-import numpy as np
+from typing import Optional, Sequence, Union
 
 from .circuit import EulerCircuit, VertexClass
 from .core_graph import StarGraph
 from .errors import InvariantViolation
 from .gf2 import BitMatrix
-
-_NUMPY_THRESHOLD = 128  # below this, the plain double loop wins
 
 
 @dataclass(frozen=True)
@@ -182,40 +179,31 @@ def linked(diagram: ChordDiagram, i: int, j: int) -> bool:
 def linked_pairs(diagram: ChordDiagram) -> list[tuple[int, int]]:
     """All linked index pairs (i, j) with i < j, ascending.
 
-    Vectorized in row blocks above a size threshold; the pair scan is the
-    quadratic step of the planarity path.
+    One sweep over the chord endpoints in circle order. Chords are sorted by
+    smaller endpoint, so they open in index order and the open chords form
+    one ascending list. When chord i closes, the chords after it in that
+    list opened inside it and close outside it: exactly its linked partners
+    with a larger index. Points that end no chord are never visited. Cost:
+    O(n log n + pairs) plus the list deletions.
     """
-    n = len(diagram.chords)
-    if n <= _NUMPY_THRESHOLD:
-        out = []
-        for i in range(n):
-            a1, b1 = diagram.chords[i]
-            for j in range(i + 1, n):
-                a2, b2 = diagram.chords[j]
-                if (a1 < a2 < b1 < b2) or (a2 < a1 < b2 < b1):
-                    out.append((i, j))
-        return out
-
-    a = np.array([c[0] for c in diagram.chords], dtype=np.int64)
-    b = np.array([c[1] for c in diagram.chords], dtype=np.int64)
-    pairs: list[tuple[int, int]] = []
-    block = 1024
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        A = a[i0:i1, None]
-        B = b[i0:i1, None]
-        cond = (((A < a[None, :]) & (a[None, :] < B) & (B < b[None, :]))
-                | ((a[None, :] < A) & (A < b[None, :]) & (b[None, :] < B)))
-        rows, cols = np.nonzero(cond)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            if c > i0 + r:
-                pairs.append((i0 + r, c))
-    pairs.sort()
-    return pairs
+    chords = diagram.chords
+    n = len(chords)
+    ends = [b for _, b in chords]
+    open_chords: list[int] = []
+    later: list[list[int]] = [[] for _ in range(n)]
+    opened = 0
+    for i in sorted(range(n), key=ends.__getitem__):
+        while opened < n and chords[opened][0] < ends[i]:
+            open_chords.append(opened)
+            opened += 1
+        k = bisect_left(open_chords, i)
+        later[i] = open_chords[k + 1:]
+        del open_chords[k]
+    return [(i, j) for i in range(n) for j in later[i]]
 
 
 def intersection_matrix(diagram: ChordDiagram,
-                        pairs: Optional[list[tuple[int, int]]] = None) -> BitMatrix:
+                        pairs: Optional[Sequence[tuple[int, int]]] = None) -> BitMatrix:
     """Symmetric GF(2) matrix with M[i][j] = 1 iff chords i and j are linked."""
     if pairs is None:
         pairs = linked_pairs(diagram)

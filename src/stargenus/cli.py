@@ -90,7 +90,7 @@ def cmd_orient(args) -> int:
     require_valid(g)
     orientation = find_source_sink_orientation(g)
     if orientation is None:
-        return _print_not_source_sink(args.json)
+        raise NotSourceSinkError("graph has no source-sink orientation")
     if args.json:
         payload = {
             "source_sink": True,
@@ -116,11 +116,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_circuit(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        pipe = build_pipeline(g)
-    except NotSourceSinkError:
-        return _print_not_source_sink(False)
+    pipe = build_pipeline(_load_graph(args.graph))
     print("circuit: " + " ".join(f"e{eid}" for eid in pipe.circuit.edges))
     for v in sorted(pipe.classes):
         print(f"class {v}: {pipe.classes[v].label()}")
@@ -128,11 +124,7 @@ def cmd_circuit(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        pipe = build_pipeline(g)
-    except NotSourceSinkError:
-        return _print_not_source_sink(False)
+    pipe = build_pipeline(_load_graph(args.graph))
     star = pipe.star_diagram
     print(f"circle: {star.n_points}")
     for att in star.attachments:
@@ -147,16 +139,12 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        pipe = build_pipeline(g)
-    except NotSourceSinkError:
-        return _print_not_source_sink(args.json)
+    pipe = build_pipeline(_load_graph(args.graph))
     result = min_genus_of_pipeline(pipe)
     if args.json:
         payload = {
             "source_sink": True,
-            "n_vertices": g.n_vertices,
+            "n_vertices": pipe.graph.n_vertices,
             "n_chords": len(pipe.diagram.chords),
             "min_genus": result.min_genus,
             "ranks": list(result.ranks),
@@ -172,11 +160,7 @@ def cmd_genus(args) -> int:
 
 
 def cmd_planar(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        pipe = build_pipeline(g)
-    except NotSourceSinkError:
-        return _print_not_source_sink(args.json)
+    pipe = build_pipeline(_load_graph(args.graph))
     result = planarity_of_pipeline(pipe)
     if args.json:
         if result.planar:
@@ -196,10 +180,7 @@ def cmd_planar(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
-    try:
-        genus, coloring = min_genus_bruteforce(g, cap=_resolve_cap(args))
-    except NotSourceSinkError:
-        return _print_not_source_sink(args.json)
+    genus, coloring = min_genus_bruteforce(g, cap=_resolve_cap(args))
     if args.json:
         payload = {
             "source_sink": True,
@@ -217,13 +198,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        pipe = build_pipeline(g)
-        result = min_genus_of_pipeline(pipe)
-        traced = traced_genera(g, cap=_resolve_cap(args))
-    except NotSourceSinkError:
-        return _print_not_source_sink(args.json)
+    pipe = build_pipeline(_load_graph(args.graph))
+    result = min_genus_of_pipeline(pipe)
+    traced = traced_genera(pipe.graph, cap=_resolve_cap(args))
     oracle_genus = int(traced.min())
     agree = result.min_genus == oracle_genus
 
@@ -319,6 +296,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except NotSourceSinkError:
+        return _print_not_source_sink(getattr(args, "json", False))
     except StgParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -48,9 +48,6 @@ class Edge:
     def ends(self) -> tuple[HalfEdgeRef, HalfEdgeRef]:
         return (self.a, self.b)
 
-    def other(self, ref: HalfEdgeRef) -> HalfEdgeRef:
-        return self.b if ref == self.a else self.a
-
 
 class StarGraph:
     """Immutable-by-convention star graph.
@@ -60,15 +57,11 @@ class StarGraph:
     list, so that broken graphs can still be inspected and reported on.
     """
 
-    __slots__ = ("vertices", "edges", "_at")
+    __slots__ = ("vertices", "edges")
 
     def __init__(self, vertices: Mapping[int, int], edges: Iterable[Edge]):
         self.vertices: dict[int, int] = dict(vertices)
         self.edges: tuple[Edge, ...] = tuple(sorted(edges, key=lambda e: e.id))
-        self._at: dict[tuple[int, int], Edge] = {}
-        for e in self.edges:
-            self._at[(e.a.vertex, e.a.slot)] = e
-            self._at[(e.b.vertex, e.b.slot)] = e
 
     @classmethod
     def build(cls, degrees: Mapping[int, int],
@@ -89,10 +82,6 @@ class StarGraph:
     def degree(self, v: int) -> int:
         return self.vertices[v]
 
-    def edge_at(self, v: int, slot: int) -> Optional[Edge]:
-        """The edge covering slot `slot` of vertex v, if any."""
-        return self._at.get((v, slot))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, StarGraph):
             return NotImplemented
@@ -108,18 +97,11 @@ class Orientation:
 
     direction: dict[int, tuple[HalfEdgeRef, HalfEdgeRef]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_tails",
-                           frozenset(t for t, _ in self.direction.values()))
-
     def tail(self, edge_id: int) -> HalfEdgeRef:
         return self.direction[edge_id][0]
 
     def head(self, edge_id: int) -> HalfEdgeRef:
         return self.direction[edge_id][1]
-
-    def is_outgoing(self, ref: HalfEdgeRef) -> bool:
-        return ref in self._tails  # type: ignore[attr-defined]
 
 
 def validate(g: StarGraph) -> list[str]:

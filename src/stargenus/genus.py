@@ -13,7 +13,9 @@ partial rank bounds the final one from below, a branch is cut as soon as
 its half rank sum reaches the best genus found. Planarity (genus 0) does
 not need the search: it reduces to 2-colouring the chords so that linked
 chords and double-chord halves disagree while triad halves agree, solved
-with a parity union-find in near-quadratic total time.
+with a parity union-find over the linked pairs; one endpoint sweep lists
+those pairs in O(n log n + pairs) time, so planarity costs about one
+union-find step per linked pair.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def build_pipeline(g: StarGraph) -> Pipeline:
     star = build_star_chord_diagram(g, circuit, classes)
     diagram = expand(star)
     pairs = tuple(linked_pairs(diagram))
-    matrix = intersection_matrix(diagram, list(pairs))
+    matrix = intersection_matrix(diagram, pairs)
     return Pipeline(g, orientation, ts, circuit, classes, star, diagram, pairs, matrix)
 
 
@@ -237,17 +239,16 @@ def is_planar(g: StarGraph) -> PlanarityResult:
 def planarity_of_pipeline(pipe: Pipeline) -> PlanarityResult:
     diagram = pipe.diagram
     n = len(diagram.chords)
+    vertices = sorted(pipe.graph.vertices)
+    chords_w, chords_b = _side_chords(diagram, vertices)
 
-    by_vertex: dict[int, list[int]] = defaultdict(list)
-    for i, grp in enumerate(diagram.groups):
-        by_vertex[grp.vertex].append(i)
-
+    # the two chords of a 6-valent vertex: triad halves (both in chords_w)
+    # agree, double-chord halves (one in each list) disagree
     constraints: list[tuple[int, int, int]] = []
-    for v in sorted(by_vertex):
-        idxs = by_vertex[v]
-        if len(idxs) == 2:
-            parity = 1 if diagram.groups[idxs[0]].kind == "dchord" else 0
-            constraints.append((idxs[0], idxs[1], parity))
+    for same, opposite in zip(chords_w, chords_b):
+        both = sorted(same + opposite)
+        if len(both) == 2:
+            constraints.append((both[0], both[1], 1 if opposite else 0))
     constraints.extend((i, j, 1) for i, j in pipe.linked)
 
     uf = ParityUnionFind(n)
@@ -265,12 +266,9 @@ def planarity_of_pipeline(pipe: Pipeline) -> PlanarityResult:
             if root not in anchor_parity:
                 anchor_parity[root] = par
             chord_side.append(SIDE_WHITE if par == anchor_parity[root] else SIDE_BLACK)
-        witness: dict[int, str] = {}
-        for v, idxs in sorted(by_vertex.items()):
-            gov = idxs[0]
-            if diagram.groups[idxs[0]].kind == "dchord" and diagram.groups[idxs[0]].plus is False:
-                gov = idxs[1]
-            witness[v] = chord_side[gov]
+        # a vertex is on the side its chords_w take: for a double chord
+        # that is its p+ half, for any other vertex its lowest chord
+        witness = {v: chord_side[chords_w[k][0]] for k, v in enumerate(vertices)}
         return PlanarityResult(True, witness=witness)
 
     i, j, p = constraints[conflict_at]

@@ -138,21 +138,26 @@ def test_linked_pinned():
     assert not linked(d, 0, 1)
 
 
-def test_linked_pairs_matches_quadratic_loop():
-    for seed in range(40):
-        d = random_chord_diagram(seed, random.Random(seed).randint(1, 40))
-        n = len(d.chords)
-        expected = [(i, j) for i in range(n) for j in range(i + 1, n)
-                    if linked(d, i, j)]
-        assert linked_pairs(d) == expected
-
-
-def test_linked_pairs_numpy_path_agrees():
-    # push past the vectorization threshold and compare against the loop
-    d = random_chord_diagram(3, 200)
+def quadratic_linked_pairs(d):
     n = len(d.chords)
-    expected = [(i, j) for i in range(n) for j in range(i + 1, n) if linked(d, i, j)]
-    assert linked_pairs(d) == expected
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if linked(d, i, j)]
+
+
+def test_linked_pairs_matches_quadratic_loop(random_corpus):
+    diagrams = [random_chord_diagram(seed, random.Random(seed).randint(1, 40))
+                for seed in range(40)]
+    diagrams += [expand(star_diagram_of(g)) for g in random_corpus[:40]]
+    diagrams.append(expand(star_diagram_of(chain(300))))
+    diagrams.append(plain(60, [(i, 59 - i) for i in range(30)]))  # nested: no pairs
+    diagrams.append(plain(60, [(i, i + 30) for i in range(30)]))  # every pair
+    diagrams.append(plain(10, [(0, 5), (2, 8), (3, 4)]))  # points 1, 6, 7, 9 end no chord
+    for d in diagrams:
+        assert linked_pairs(d) == quadratic_linked_pairs(d)
+
+
+def test_linked_pairs_on_200_chords():
+    d = random_chord_diagram(3, 200)
+    assert linked_pairs(d) == quadratic_linked_pairs(d)
 
 
 def test_intersection_matrix_fixtures():

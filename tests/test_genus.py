@@ -159,13 +159,15 @@ def test_planar_fixtures():
     assert result.witness is None
 
 
-def test_planar_witness_realizes_genus_zero():
-    for fixture in (g8, ghopf, gt3f, lambda: chain(4)):
-        g = fixture()
-        pipe = build_pipeline(g)
-        result = planarity_of_pipeline(pipe)
-        assert result.planar
-        verts = sorted(g.vertices)
+def test_planar_witness_realizes_genus_zero(random_corpus):
+    fixtures = [g8(), ghopf(), gt3f(), chain(4)]
+    pipes = [build_pipeline(g) for g in fixtures + random_corpus]
+    results = [planarity_of_pipeline(pipe) for pipe in pipes]
+    assert all(result.planar for result in results[:len(fixtures)])
+    planar = [(pipe, result) for pipe, result in zip(pipes, results) if result.planar]
+    assert len(planar) > 20
+    for pipe, result in planar:
+        verts = sorted(pipe.graph.vertices)
         code = sum((1 << (len(verts) - 1 - k)) if result.witness[v] == "B" else 0
                    for k, v in enumerate(verts))
         part = partition_from_code(pipe.diagram, verts, code)
