@@ -6,20 +6,29 @@ chord take opposite sides (the vertex's side bit is the side of its p+
 chord). The genus of a partition is half the sum of the GF(2) ranks of the
 two principal submatrices of the intersection matrix, and the minimal genus
 is the minimum over all 2^n partitions. The search for it is an exact
-branch-and-bound: a depth-first walk over the vertices in ascending order,
-W before B, with the first vertex fixed to W by side-swap symmetry. Each
-side's rank is kept incrementally in a `SymplecticBasis`, and since a
-partial rank bounds the final one from below, a branch is cut as soon as
-its half rank sum reaches the best genus found. Planarity (genus 0) does
-not need the search: it reduces to 2-colouring the chords so that linked
-chords and double-chord halves disagree while triad halves agree, solved
-with a parity union-find over the linked pairs; one endpoint sweep lists
-those pairs in O(n log n + pairs) time, so planarity costs about one
-union-find step per linked pair.
+branch-and-bound: a depth-first walk over the vertices, W before B, with
+the first vertex fixed to W by side-swap symmetry. Each side's rank is kept
+incrementally in a `SymplecticBasis`, and since a partial rank bounds the
+final one from below, a branch is cut as soon as its half rank sum reaches
+the best genus found. A one-step lookahead adds up to 1 per side: the
+basis knows which chords would raise its rank, and if every way of placing
+the remaining vertices sends such a chord to a side, every leaf below is
+at least 1 higher. The walk runs twice. Pass 1 takes the vertices in
+coupling-first order (most linked pairs to those already placed first) and
+finds the genus g; pass 2 takes them in ascending order, where leaves come
+in ascending code order, and stops at the first leaf of genus g, the
+lexicographically least witness.
+
+Planarity (genus 0) does not need the search: it reduces to 2-colouring the
+chords so that linked chords and double-chord halves disagree while triad
+halves agree, solved with a parity union-find over the linked pairs; one
+endpoint sweep lists those pairs in O(n log n + pairs) time, so planarity
+costs about one union-find step per linked pair.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -156,45 +165,148 @@ def genus_of_partition(matrix: BitMatrix, partition: PermissiblePartition) -> in
     return (rw + rb) // 2
 
 
-def _branch_and_bound(rows: tuple[int, ...], chords_w: list[list[int]],
-                      chords_b: list[list[int]]) -> tuple[int, int, int, int]:
-    """Least (genus, code, rank_w, rank_b) by depth-first search over the
-    vertices in order, W before B, so leaves come in ascending code order.
-
-    Flipping every vertex swaps the two chord sets, so the least optimal
-    code has its top bit 0 and the first vertex is fixed to W. A partial
-    side rank bounds the final one from below (a principal submatrix never
-    has larger rank), so a node whose half rank sum reaches the best genus
-    found is cut; the first optimal leaf is therefore the least one.
-    """
+def _coupling_order(chords_w: list[list[int]], chords_b: list[list[int]],
+                    linked) -> list[int]:
+    """Vertex positions in coupling-first order: position 0, then again and
+    again the unplaced vertex with the most linked pairs to the placed ones,
+    the lower position on ties. Adjacency lists and a heap keep this
+    O((n + pairs) log n): a vertex's coupling only grows, so its newest
+    entry comes out first and its older ones after it is placed."""
     n = len(chords_w)
-    best_genus = len(rows)  # above any genus, which is at most half the chords
-    best = None
-    empty = SymplecticBasis(rows)
-    # (vertex, code with that vertex's bit last, white basis, black basis);
-    # an explicit stack, so depth is not bounded by the recursion limit
-    stack = [(0, 0, empty, empty)]
-    while stack:
-        k, code, white, black = stack.pop()
-        if (white.rank + black.rank) // 2 >= best_genus:  # best improved since the push
+    owner = [0] * sum(len(w) + len(b) for w, b in zip(chords_w, chords_b))
+    for k in range(n):
+        for i in chords_w[k] + chords_b[k]:
+            owner[i] = k
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for i, j in linked:
+        a, b = owner[i], owner[j]
+        if a != b:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    coupling = [0] * n
+    placed = [False] * n
+    heap = [(0, k) for k in range(n)]  # (-coupling, position); sorted, so a heap
+    order = []
+    while heap:
+        _, k = heapq.heappop(heap)
+        if placed[k]:
             continue
-        to_white, to_black = (chords_b[k], chords_w[k]) if code & 1 else \
-            (chords_w[k], chords_b[k])
+        placed[k] = True
+        order.append(k)
+        for b in neighbours[k]:
+            if not placed[b]:
+                coupling[b] += 1
+                heapq.heappush(heap, (-coupling[b], b))
+    return order
+
+
+def _mask(chords: list[int]) -> int:
+    mask = 0
+    for i in chords:
+        mask |= 1 << i
+    return mask
+
+
+def _lookahead(up_w: int, up_b: int, mask_w: list[int], mask_b: list[int],
+               start: int, cap: int) -> int:
+    """How much more than a node's bound every leaf below it has, capped at
+    `cap` (scanning stops once the cap is reached).
+
+    Vertex `start` onwards are unplaced; W sends mask_w's chords to white
+    and mask_b's to black, B the other way round. An option raises a side
+    when it sends one of that side's raisers (`SymplecticBasis.raisers`)
+    there, and since ranks only grow, a raised side adds 1 to the genus of
+    every leaf below. So the extra is 0 when every vertex has an option
+    that raises neither side; else 1 when every vertex has an option that
+    raises at most white, or every vertex one that raises at most black;
+    else 2.
+    """
+    if not up_w | up_b:
+        return 0
+    stuck = forced_w = forced_b = False
+    for mw, mb in zip(mask_w[start:], mask_b[start:]):
+        if (mw & up_w or mb & up_b) and (mb & up_w or mw & up_b):
+            if cap == 1:
+                return 1
+            stuck = True  # raises a side either way
+            forced_w = forced_w or bool(mw & up_w and mb & up_w)
+            forced_b = forced_b or bool(mw & up_b and mb & up_b)
+            if forced_w and forced_b:
+                return 2
+    return int(stuck)
+
+
+def _search(rows: tuple[int, ...], chords_w: list[list[int]], chords_b: list[list[int]],
+            order: list[int], best: int,
+            floor: int) -> Optional[tuple[int, int, int, int]]:
+    """Depth-first search over the vertices in `order`, W before B, for
+    leaves of genus below `best`. Each leaf found lowers `best`; the search
+    stops once `best` is at most `floor`. Returns (genus, code, rank_w,
+    rank_b) of the last leaf found, or None; bit k of `code`
+    (big-endian) is the side of vertex order[k].
+
+    The first vertex is fixed to W: flipping every vertex swaps the two
+    chord sets and keeps the genus. A node is cut when its half rank sum
+    (a lower bound, since a principal submatrix never has larger rank),
+    plus the lookahead's extra when that can matter, reaches `best`.
+    """
+    n = len(order)
+    to_w = [chords_w[k] for k in order]
+    to_b = [chords_b[k] for k in order]
+    mask_w = [_mask(chords) for chords in to_w]
+    mask_b = [_mask(chords) for chords in to_b]
+    found = None
+    empty = SymplecticBasis(rows)
+    # (depth, code with that vertex's bit last, white basis, black basis,
+    # parent's bound); an explicit stack, so depth is not bounded by the
+    # recursion limit
+    stack = [(0, 0, empty, empty, 0)]
+    while stack:
+        k, code, white, black, bound = stack.pop()
+        if bound >= best:  # best improved since the push
+            continue
+        to_white, to_black = (to_b[k], to_w[k]) if code & 1 else (to_w[k], to_b[k])
         for i in to_white:
             white = white.add(i)
         for i in to_black:
             black = black.add(i)
         bound = (white.rank + black.rank) // 2
-        if bound >= best_genus:
+        if bound >= best:
             continue
         if k + 1 == n:
-            best_genus = bound
-            best = (bound, code, white.rank, black.rank)
-        else:
-            stack.append((k + 1, code << 1 | 1, white, black))
-            stack.append((k + 1, code << 1, white, black))
-    assert best is not None
-    return best
+            best = bound
+            found = (bound, code, white.rank, black.rank)
+            if best <= floor:
+                break
+        elif bound + 2 < best or bound + _lookahead(
+                white.raisers, black.raisers, mask_w, mask_b, k + 1, best - bound) < best:
+            stack.append((k + 1, code << 1 | 1, white, black, bound))
+            stack.append((k + 1, code << 1, white, black, bound))
+    return found
+
+
+def _branch_and_bound(rows: tuple[int, ...], chords_w: list[list[int]],
+                      chords_b: list[list[int]], linked) -> tuple[int, int, int, int]:
+    """Least (genus, code, rank_w, rank_b), in two passes of `_search`.
+
+    Pass 1 finds the genus g. It takes the vertices in coupling-first order
+    (`_coupling_order`), so the ranks, and with them the bounds, grow early
+    and good leaves come soon; it stops at a genus-0 leaf. Pass 2 searches
+    again in ascending order, where leaves come in ascending code order,
+    with `best` at g + 1: every cut branch holds only leaves above g, so
+    the first leaf it reaches is the least code of genus g. When the
+    coupling order is the ascending one, pass 1 already was that search:
+    its last leaf is the first of genus g in code order.
+    """
+    order = _coupling_order(chords_w, chords_b, linked)
+    ascending = list(range(len(chords_w)))
+    found = _search(rows, chords_w, chords_b, order, len(rows), 0)
+    assert found is not None
+    if order != ascending:  # else pass 1 was pass 2 already
+        genus = found[0]
+        found = _search(rows, chords_w, chords_b, ascending, genus + 1, genus)
+        assert found is not None
+    return found
 
 
 def min_genus(g: StarGraph, threads: Optional[int] = None) -> GenusResult:
@@ -213,7 +325,8 @@ def min_genus_of_pipeline(pipe: Pipeline, threads: Optional[int] = None) -> Genu
     those are twice a pair count, so an odd rank sum fails this check too."""
     vertices = sorted(pipe.graph.vertices)
     chords_w, chords_b = _side_chords(pipe.diagram, vertices)
-    genus, code, rw, rb = _branch_and_bound(pipe.matrix.rows, chords_w, chords_b)
+    genus, code, rw, rb = _branch_and_bound(pipe.matrix.rows, chords_w, chords_b,
+                                            pipe.linked)
     witness = _partition(vertices, chords_w, chords_b, code)
     checked = rank_pair(pipe.matrix, witness)
     if checked != (rw, rb):

@@ -125,6 +125,20 @@ class SymplecticBasis:
     def rank(self) -> int:
         return 2 * len(self.pairs)
 
+    @property
+    def raisers(self) -> int:
+        """The indices whose insertion raises the rank, as a bitmask.
+
+        An inserted e_i pairs up, raising the rank by 2, exactly when
+        B(e_i, r) = 1 for some radical vector r, that is when bit i of r's
+        image is set; so bit i (for i not yet inserted) is set exactly when
+        `add(i).rank == rank + 2`.
+        """
+        mask = 0
+        for r in self.radical:
+            mask |= r
+        return mask
+
     def add(self, i: int) -> SymplecticBasis:
         """The basis after inserting index i (not inserted before)."""
         x = self.rows[i]

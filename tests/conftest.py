@@ -4,7 +4,8 @@
 vertices (every perfect matching of the slot stubs for degree profiles 4, 6,
 4+4, 4+6, 6+4 and 6+6 that validates, connectivity included), and
 `small_source_sink` its source-sink subset. `random_corpus` adds 200 seeded
-source-sink graphs with up to 10 mixed-degree vertices.
+source-sink graphs with up to 10 mixed-degree vertices. `seeded_covers`
+builds larger source-sink graphs: parity double covers.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 
 import pytest
 
-from stargenus.core_graph import StarGraph, is_source_sink, validate
+from stargenus.core_graph import StarGraph, double_cover, is_source_sink, validate
 from stargenus.fixtures import random_star_graph
 
 SMALL_DEGREE_PROFILES = [{0: 4}, {0: 6}, {0: 4, 1: 4}, {0: 4, 1: 6},
@@ -59,6 +60,26 @@ def build_random_corpus(count: int = 200) -> list[StarGraph]:
         if is_source_sink(g):
             out.append(g)
     return out
+
+
+def build_seeded_covers(sizes, seed: int = 0) -> list[StarGraph]:
+    """One connected double cover per base size in `sizes`: the base has
+    ceil(size / 2) 4-vertices and floor(size / 2) 6-vertices, drawn with
+    the next seed whose cover is connected."""
+    out = []
+    for size in sizes:
+        while True:
+            seed += 1
+            g = double_cover(random_star_graph(seed, size - size // 2, size // 2))
+            if not validate(g):
+                out.append(g)
+                break
+    return out
+
+
+@pytest.fixture(scope="session")
+def seeded_covers():
+    return build_seeded_covers
 
 
 @pytest.fixture(scope="session")

@@ -190,6 +190,19 @@ def test_genus_on_long_chains_is_bounded(capsys, stg, k):
     assert lines[2] == "witness: " + " ".join(f"{v}=W" for v in range(k))
 
 
+@pytest.mark.parametrize("index,genus", [(0, 8), (1, 7), (2, 7)])
+def test_genus_on_20_vertex_covers_is_bounded(capsys, stg, seeded_covers, index, genus):
+    # genus 7-8 on 20 vertices: the search's pruning must keep these far
+    # inside the guard (each takes well under 0.1 s)
+    g = seeded_covers((10, 10, 10))[index]
+    assert g.n_vertices == 20
+    code, out, _ = run_within(10, capsys, "genus", stg("c", g))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"min genus: {genus}"
+    assert len(lines[2].split()) == 1 + 20
+
+
 def test_planar_exits(capsys, stg):
     code, out, _ = run(capsys, "planar", stg("h", ghopf()))
     assert code == 0

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import random
 
 import pytest
 
 from stargenus.errors import InvalidGraphError, InvariantViolation, NotSourceSinkError
 from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx
-from stargenus.genus import (build_pipeline, enumerate_permissible_partitions,
-                             genus_of_partition, is_planar, min_genus,
-                             min_genus_of_pipeline, partition_from_code,
-                             planarity_of_pipeline, rank_pair)
+from stargenus.genus import (_coupling_order, _lookahead, _search, _side_chords, build_pipeline,
+                             enumerate_permissible_partitions, genus_of_partition,
+                             is_planar, min_genus, min_genus_of_pipeline,
+                             partition_from_code, planarity_of_pipeline, rank_pair)
 from stargenus.gf2 import BitMatrix, masked_rank
+from stargenus.oracle import traced_genera
 
 
 def test_pipeline_rejects_invalid_and_unorientable():
@@ -116,6 +119,90 @@ def test_min_genus_matches_full_scan(small_source_sink, random_corpus):
         assert result.min_genus == genus_of_partition(pipe.matrix, least)
         assert result.witness.side == least.side
         assert result.ranks == rank_pair(pipe.matrix, least)
+
+
+def _search_inputs(pipe):
+    chords_w, chords_b = _side_chords(pipe.diagram, sorted(pipe.graph.vertices))
+    return pipe.matrix.rows, chords_w, chords_b
+
+
+@pytest.fixture(scope="module")
+def cover_pipes(seeded_covers):
+    # 12 to 16 vertices: more coupled than the corpora, still small enough to scan
+    return [build_pipeline(g) for g in seeded_covers((6, 6, 7, 7, 8, 8))]
+
+
+def test_coupling_order_matches_a_quadratic_reference(random_corpus, cover_pipes):
+    for pipe in [build_pipeline(g) for g in random_corpus] + cover_pipes:
+        _, chords_w, chords_b = _search_inputs(pipe)
+        n = len(chords_w)
+        owner = {i: k for k in range(n) for i in chords_w[k] + chords_b[k]}
+        weight = [[0] * n for _ in range(n)]
+        for i, j in pipe.linked:
+            if owner[i] != owner[j]:
+                weight[owner[i]][owner[j]] += 1
+                weight[owner[j]][owner[i]] += 1
+        order = [0]
+        while len(order) < n:
+            rest = [k for k in range(n) if k not in order]
+            order.append(max(rest, key=lambda k: (sum(weight[k][p] for p in order), -k)))
+        assert _coupling_order(chords_w, chords_b, pipe.linked) == order
+
+
+def test_lookahead_is_the_least_extra_over_all_placements():
+    rng = random.Random(2012)
+    for _ in range(2000):
+        # vertices as the search sees them: a 4-vertex's chord or a triad's
+        # two go white on W; a double chord's halves go opposite ways
+        mask_w, mask_b, chord = [], [], 0
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.choice(("chord", "triad", "dchord"))
+            mask_w.append((3 if kind == "triad" else 1) << chord)
+            mask_b.append(2 << chord if kind == "dchord" else 0)
+            chord += 1 if kind == "chord" else 2
+        up_w, up_b = (sum(1 << i for i in range(chord) if rng.random() < density)
+                      for density in (rng.random() / 2, rng.random() / 2))
+        start = rng.randrange(len(mask_w))  # vertices before it are placed
+        rest = list(zip(mask_w[start:], mask_b[start:]))
+        # each placement sends (to white, to black): (mw, mb) on W, (mb, mw) on B
+        extra = min(any(w & up_w for w, _ in placement) + any(b & up_b for _, b in placement)
+                    for placement in itertools.product(*[[(mw, mb), (mb, mw)]
+                                                         for mw, mb in rest]))
+        for cap in (1, 2, 3):
+            assert _lookahead(up_w, up_b, mask_w, mask_b, start, cap) == min(extra, cap)
+
+
+def test_genus_is_the_same_in_any_search_order(random_corpus):
+    # the first pass may take the vertices in any order; only its genus is used
+    rng = random.Random(1912)
+    for g in random_corpus:
+        pipe = build_pipeline(g)
+        rows, chords_w, chords_b = _search_inputs(pipe)
+        n = len(chords_w)
+        orders = [_coupling_order(chords_w, chords_b, pipe.linked), list(range(n))]
+        orders += [rng.sample(range(n), n) for _ in range(5)]
+        genera = {_search(rows, chords_w, chords_b, order, len(rows), 0)[0]
+                  for order in orders}
+        assert genera == {min_genus_of_pipeline(pipe).min_genus}
+
+
+def test_min_genus_matches_oracle_on_covers(cover_pipes):
+    for pipe in cover_pipes:
+        assert min_genus_of_pipeline(pipe).min_genus == traced_genera(pipe.graph).min()
+
+
+def test_witness_is_least_code_on_covers(cover_pipes):
+    reordered = 0
+    for pipe in cover_pipes:
+        least = min(enumerate_permissible_partitions(pipe.diagram),
+                    key=lambda p: genus_of_partition(pipe.matrix, p))
+        result = min_genus_of_pipeline(pipe)
+        assert result.witness.side == least.side
+        assert result.ranks == rank_pair(pipe.matrix, least)
+        _, chords_w, chords_b = _search_inputs(pipe)
+        if _coupling_order(chords_w, chords_b, pipe.linked) != list(range(len(chords_w))):
+            reordered += 1
+    assert reordered == len(cover_pipes)  # so the second pass ran on every cover
 
 
 def test_search_cross_checks_witness_ranks():

@@ -90,7 +90,9 @@ def test_rank_of_rows_accepts_generators():
     assert rank_of_rows(r for r in (0b110, 0b011, 0b101)) == 2
 
 
-def test_symplectic_basis_tracks_masked_rank():
+def symplectic_insertions():
+    """60 seeded matrices, each with an insertion order and the basis after
+    every prefix of it (the empty one first)."""
     # sparse matrices keep long radicals, dense ones pair up quickly
     for seed in range(60):
         rng = random.Random(9000 + seed)
@@ -100,6 +102,18 @@ def test_symplectic_basis_tracks_masked_rank():
         bases = [SymplecticBasis(m.rows)]
         for i in order:
             bases.append(bases[-1].add(i))
+        yield m, order, bases
+
+
+def test_symplectic_basis_tracks_masked_rank():
+    for m, order, bases in symplectic_insertions():
         # every basis, earlier ones included, keeps the rank of its prefix
         for k, basis in enumerate(bases):
             assert basis.rank == masked_rank(m, order[:k])
+
+
+def test_symplectic_raisers_predict_rank_growth():
+    for m, order, bases in symplectic_insertions():
+        for k, basis in enumerate(bases):
+            for i in order[k:]:
+                assert bool(basis.raisers >> i & 1) == (basis.add(i).rank == basis.rank + 2)

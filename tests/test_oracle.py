@@ -187,3 +187,30 @@ def test_relabelling_vertices_keeps_min_genus(random_corpus):
         h = _relabel(g, dict(zip(ids, shuffled)))
         assert min_genus(h).min_genus == min_genus(g).min_genus
         assert oracle_min_genus(h) == oracle_min_genus(g)
+
+
+def _reslot(g: StarGraph, slot_of) -> StarGraph:
+    """`g` with every half-edge moved to slot `slot_of(ref)` of its vertex."""
+    edges = [Edge(e.id, HalfEdgeRef(e.a.vertex, slot_of(e.a)),
+                  HalfEdgeRef(e.b.vertex, slot_of(e.b))) for e in g.edges]
+    return StarGraph(g.vertices, edges)
+
+
+def test_rotating_one_vertex_keeps_min_genus(random_corpus, seeded_covers):
+    # the same cyclic order read from another first slot; an odd shift
+    # flips the vertex's phase, so the graph stays source-sink
+    rng = random.Random(20121221)
+    for g in random_corpus + seeded_covers((4, 5, 6, 7)):
+        v = rng.choice(sorted(g.vertices))
+        d = g.vertices[v]
+        shift = rng.randrange(1, d)
+        h = _reslot(g, lambda ref: (ref.slot + shift) % d if ref.vertex == v else ref.slot)
+        assert h != g
+        assert min_genus(h).min_genus == min_genus(g).min_genus == oracle_min_genus(h)
+
+
+def test_mirroring_every_vertex_keeps_min_genus(random_corpus, seeded_covers):
+    # reversing every cyclic order gives the mirror image surface
+    for g in random_corpus + seeded_covers((4, 5, 6, 7)):
+        h = _reslot(g, lambda ref: -ref.slot % g.vertices[ref.vertex])
+        assert min_genus(h).min_genus == min_genus(g).min_genus == oracle_min_genus(h)
