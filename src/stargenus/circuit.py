@@ -31,9 +31,6 @@ class TransitionSystem:
 
     transitions: dict[int, dict[int, int]]
 
-    def at(self, v: int) -> dict[int, int]:
-        return self.transitions[v]
-
 
 @dataclass(frozen=True)
 class Visit:
@@ -114,25 +111,20 @@ def _walk_maps(g: StarGraph, orientation: Orientation):
     return head_ref, arrive, depart
 
 
+def _plus_one(g: StarGraph, arrive: dict[tuple[int, int], int]) -> dict[int, dict[int, int]]:
+    return {v: {s: (s + 1) % d for s in range(d) if (v, s) in arrive}
+            for v, d in sorted(g.vertices.items())}
+
+
 def initial_transition_system(g: StarGraph, orientation: Orientation) -> TransitionSystem:
     """The canonical starting point: in-slot i exits at slot (i + 1) mod d."""
-    transitions: dict[int, dict[int, int]] = {}
-    _, arrive, _ = _walk_maps(g, orientation)
-    for v in sorted(g.vertices):
-        d = g.vertices[v]
-        ins = sorted(s for s in range(d) if (v, s) in arrive)
-        transitions[v] = {s: (s + 1) % d for s in ins}
-    return TransitionSystem(transitions)
+    return TransitionSystem(_plus_one(g, _walk_maps(g, orientation)[1]))
 
 
-def cycles_of(g: StarGraph, orientation: Orientation,
-              ts: TransitionSystem) -> tuple[tuple[int, ...], ...]:
-    """Directed closed walks induced by ts, as edge-id tuples.
-
-    Deterministic: each cycle starts at its lowest edge id and cycles are
-    listed by that id in ascending order.
-    """
-    head_ref, _, depart = _walk_maps(g, orientation)
+def _trace(head_ref: dict[int, HalfEdgeRef], depart: dict[tuple[int, int], int],
+           transitions: dict[int, dict[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """The transition walk: the directed closed walks the transitions induce.
+    Each starts at its lowest edge id, and they are listed by that id."""
     seen: set[int] = set()
     cycles: list[tuple[int, ...]] = []
     for start in sorted(head_ref):
@@ -144,11 +136,22 @@ def cycles_of(g: StarGraph, orientation: Orientation,
             seen.add(e)
             walk.append(e)
             head = head_ref[e]
-            e = depart[(head.vertex, ts.at(head.vertex)[head.slot])]
+            e = depart[(head.vertex, transitions[head.vertex][head.slot])]
         if e != start:
             raise InvariantViolation("transition walk did not close")
         cycles.append(tuple(walk))
     return tuple(cycles)
+
+
+def cycles_of(g: StarGraph, orientation: Orientation,
+              ts: TransitionSystem) -> tuple[tuple[int, ...], ...]:
+    """Directed closed walks induced by ts, as edge-id tuples.
+
+    Deterministic: each cycle starts at its lowest edge id and cycles are
+    listed by that id in ascending order.
+    """
+    head_ref, _, depart = _walk_maps(g, orientation)
+    return _trace(head_ref, depart, ts.transitions)
 
 
 def find_rs_circuit(g: StarGraph, orientation: Orientation,
@@ -168,19 +171,11 @@ def find_rs_circuit(g: StarGraph, orientation: Orientation,
     receives initial_cycles and merge_steps.
     """
     head_ref, arrive, depart = _walk_maps(g, orientation)
-    ts = {v: dict(d) for v, d in initial_transition_system(g, orientation).transitions.items()}
+    ts = _plus_one(g, arrive)
 
-    cycle_of: dict[int, int] = {}
-    n_cycles = 0
-    for start in sorted(head_ref):
-        if start in cycle_of:
-            continue
-        e = start
-        while e not in cycle_of:
-            cycle_of[e] = n_cycles
-            head = head_ref[e]
-            e = depart[(head.vertex, ts[head.vertex][head.slot])]
-        n_cycles += 1
+    initial = _trace(head_ref, depart, ts)
+    cycle_of = {e: c for c, walk in enumerate(initial) for e in walk}
+    n_cycles = len(initial)
 
     dsu = UnionFind(n_cycles)
     live = n_cycles
@@ -249,18 +244,10 @@ def find_rs_circuit(g: StarGraph, orientation: Orientation,
         stats["initial_cycles"] = n_cycles
         stats["merge_steps"] = merge_steps
 
-    # Trace the final circuit from the lowest edge id.
-    start = min(head_ref)
-    seq = []
-    e = start
-    while True:
-        seq.append(e)
-        head = head_ref[e]
-        e = depart[(head.vertex, ts[head.vertex][head.slot])]
-        if e == start:
-            break
-    if len(seq) != g.n_edges:
+    final = _trace(head_ref, depart, ts)
+    if len(final) != 1:
         raise InvariantViolation("final walk is not an Euler circuit")
+    seq = final[0]  # starts at the lowest edge id
 
     visits = []
     for k, eid in enumerate(seq):

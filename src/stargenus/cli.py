@@ -16,14 +16,13 @@ from pathlib import Path
 
 from . import fixtures
 from .chords import Chord, Triad
-from .core_graph import (StarGraph, double_cover, find_source_sink_orientation, parse_stg,
-                         require_valid, serialize_stg, validate)
+from .core_graph import (StarGraph, double_cover, parse_stg, require_source_sink,
+                         serialize_stg, validate)
 from .errors import (InvalidGraphError, NotSourceSinkError, OracleCapExceeded,
                      StgParseError)
-from .genus import (SIDE_WHITE, build_pipeline, enumerate_permissible_partitions,
-                    genus_of_partition, min_genus_of_pipeline, planarity_of_pipeline)
-from .oracle import (DEFAULT_CAP, chord_region_parity, min_genus_bruteforce,
-                     partition_coloring_code, traced_genera)
+from .genus import (build_pipeline, enumerate_permissible_partitions, genus_of_partition,
+                    min_genus_of_pipeline, planarity_of_pipeline)
+from .oracle import DEFAULT_CAP, coloring_flip, min_genus_bruteforce, traced_genera
 
 
 def _load_graph(path: str) -> StarGraph:
@@ -86,11 +85,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_orient(args) -> int:
-    g = _load_graph(args.graph)
-    require_valid(g)
-    orientation = find_source_sink_orientation(g)
-    if orientation is None:
-        raise NotSourceSinkError("graph has no source-sink orientation")
+    orientation = require_source_sink(_load_graph(args.graph))
     if args.json:
         payload = {
             "source_sink": True,
@@ -206,11 +201,12 @@ def cmd_check(args) -> int:
 
     checked = mismatches = 0
     if args.all_partitions:
-        region = chord_region_parity(pipe)
-        for partition in enumerate_permissible_partitions(pipe.diagram):
+        flip = coloring_flip(pipe)
+        # partitions come in ascending code order
+        for code, partition in enumerate(enumerate_permissible_partitions(pipe.diagram)):
             rank_genus = genus_of_partition(pipe.matrix, partition)
             checked += 1
-            if rank_genus != traced[partition_coloring_code(region, partition)]:
+            if rank_genus != traced[code ^ flip]:
                 mismatches += 1
 
     ok = agree and mismatches == 0

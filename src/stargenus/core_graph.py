@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .errors import InvalidGraphError, StgParseError
+from .errors import InvalidGraphError, NotSourceSinkError, StgParseError
 from .union_find import ParityUnionFind, UnionFind
 
 SUPPORTED_DEGREES = (4, 6)
@@ -78,9 +78,6 @@ class StarGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return self.vertices[v]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StarGraph):
@@ -180,14 +177,7 @@ def find_source_sink_orientation(g: StarGraph) -> Optional[Orientation]:
         if not uf.union(index[e.a.vertex], index[e.b.vertex], diff):
             return None
 
-    anchor_parity: dict[int, int] = {}
-    phase: dict[int, int] = {}
-    for v in order:  # ascending, so the first vertex of a component anchors it
-        root, par = uf.find(index[v])
-        if root not in anchor_parity:
-            anchor_parity[root] = par
-        phase[v] = par ^ anchor_parity[root]
-
+    phase = dict(zip(order, uf.sides()))
     direction: dict[int, tuple[HalfEdgeRef, HalfEdgeRef]] = {}
     for e in g.edges:
         a_out = (e.a.slot + phase[e.a.vertex]) % 2 == 0
@@ -196,6 +186,17 @@ def find_source_sink_orientation(g: StarGraph) -> Optional[Orientation]:
             return None
         direction[e.id] = (e.a, e.b) if a_out else (e.b, e.a)
     return Orientation(direction)
+
+
+def require_source_sink(g: StarGraph) -> Orientation:
+    """The canonical source-sink orientation of a valid graph. Raises
+    InvalidGraphError on an invalid graph and NotSourceSinkError when there
+    is no such orientation."""
+    require_valid(g)
+    orientation = find_source_sink_orientation(g)
+    if orientation is None:
+        raise NotSourceSinkError("graph has no source-sink orientation")
+    return orientation
 
 
 def is_source_sink(g: StarGraph) -> bool:

@@ -37,8 +37,8 @@ from .chords import (ChordDiagram, StarChordDiagram, build_star_chord_diagram,
                      expand, intersection_matrix, linked_pairs)
 from .circuit import (EulerCircuit, TransitionSystem, VertexClass,
                       classify_vertices, find_rs_circuit)
-from .core_graph import Orientation, StarGraph, find_source_sink_orientation, require_valid
-from .errors import InvariantViolation, NotSourceSinkError
+from .core_graph import Orientation, StarGraph, require_source_sink
+from .errors import InvariantViolation
 from .gf2 import BitMatrix, SymplecticBasis, masked_rank
 from .union_find import ParityUnionFind
 
@@ -65,10 +65,7 @@ def build_pipeline(g: StarGraph) -> Pipeline:
     """Validate, orient, trace, attach, expand. Raises on invalid input
     (InvalidGraphError) and on graphs with no source-sink orientation
     (NotSourceSinkError)."""
-    require_valid(g)
-    orientation = find_source_sink_orientation(g)
-    if orientation is None:
-        raise NotSourceSinkError("graph has no source-sink orientation")
+    orientation = require_source_sink(g)
     ts, circuit = find_rs_circuit(g, orientation)
     classes = classify_vertices(g, circuit)
     star = build_star_chord_diagram(g, circuit, classes)
@@ -372,16 +369,11 @@ def planarity_of_pipeline(pipe: Pipeline) -> PlanarityResult:
             break
 
     if conflict_at is None:
-        anchor_parity: dict[int, int] = {}
-        chord_side: list[str] = []
-        for i in range(n):  # ascending, so the lowest chord anchors its component
-            root, par = uf.find(i)
-            if root not in anchor_parity:
-                anchor_parity[root] = par
-            chord_side.append(SIDE_WHITE if par == anchor_parity[root] else SIDE_BLACK)
+        chord_side = uf.sides()
         # a vertex is on the side its chords_w take: for a double chord
         # that is its p+ half, for any other vertex its lowest chord
-        witness = {v: chord_side[chords_w[k][0]] for k, v in enumerate(vertices)}
+        witness = {v: SIDE_BLACK if chord_side[chords_w[k][0]] else SIDE_WHITE
+                   for k, v in enumerate(vertices)}
         return PlanarityResult(True, witness=witness)
 
     i, j, p = constraints[conflict_at]

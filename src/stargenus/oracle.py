@@ -25,9 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core_graph import (HalfEdgeRef, Orientation, StarGraph, find_source_sink_orientation,
-                         require_valid)
-from .errors import InvariantViolation, NotSourceSinkError, OracleCapExceeded
+from .core_graph import HalfEdgeRef, Orientation, StarGraph, require_source_sink
+from .errors import InvariantViolation, OracleCapExceeded
 from .genus import Pipeline, PermissiblePartition, SIDE_BLACK
 
 DEFAULT_CAP = 20
@@ -136,10 +135,7 @@ def traced_genera(g: StarGraph, cap: Optional[int] = DEFAULT_CAP) -> np.ndarray:
     the cap). Raises InvariantViolation when a colouring's Euler
     characteristic is odd or its genus negative.
     """
-    require_valid(g)
-    orientation = find_source_sink_orientation(g)
-    if orientation is None:
-        raise NotSourceSinkError("graph has no source-sink orientation")
+    orientation = require_source_sink(g)
     if cap is not None and g.n_vertices > cap:
         raise OracleCapExceeded(f"{g.n_vertices} vertices exceeds the enumeration cap {cap}")
     t = _successor_tables(g, orientation)
@@ -238,19 +234,23 @@ def chord_region_parity(pipe: Pipeline) -> dict[int, int]:
     return parity
 
 
-def partition_coloring_code(region: dict[int, int], partition: PermissiblePartition) -> int:
-    """The code (as in `traced_genera`) of the colouring realizing a partition.
-
-    bit(v) = region parity of v (see chord_region_parity), flipped when the
-    vertex sits on side B.
+def coloring_flip(pipe: Pipeline) -> int:
+    """The colouring code (as in `traced_genera`) of the all-W partition:
+    the region parities (see chord_region_parity), packed big-endian over
+    ascending vertex ids. A vertex on side B flips its colour bit, so a
+    partition's colouring code is its own code (as in
+    `genus.partition_from_code`) XOR this value.
     """
     code = 0
-    for v in sorted(partition.side):
-        code = (code << 1) | (region[v] ^ (partition.side[v] == SIDE_BLACK))
+    for _, bit in sorted(chord_region_parity(pipe).items()):
+        code = code << 1 | bit
     return code
 
 
 def coloring_of_partition(pipe: Pipeline, partition: PermissiblePartition) -> AtomColoring:
     """The atom colouring whose checkerboard surface realizes the partition."""
-    code = partition_coloring_code(chord_region_parity(pipe), partition)
-    return _coloring_of_code(sorted(partition.side), code)
+    vertices = sorted(partition.side)
+    code = 0
+    for v in vertices:
+        code = code << 1 | (partition.side[v] == SIDE_BLACK)
+    return _coloring_of_code(vertices, code ^ coloring_flip(pipe))

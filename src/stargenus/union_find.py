@@ -74,3 +74,13 @@ class ParityUnionFind:
         if self.rank[rx] == self.rank[ry]:
             self.rank[rx] += 1
         return True
+
+    def sides(self) -> list[int]:
+        """Every key's parity relative to the lowest key of its set, so the
+        lowest key of each set reads 0."""
+        anchor: dict[int, int] = {}
+        out = []
+        for x in range(len(self.parent)):  # ascending, so a set's lowest key anchors it
+            root, par = self.find(x)
+            out.append(par ^ anchor.setdefault(root, par))
+        return out

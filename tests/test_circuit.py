@@ -38,7 +38,7 @@ def test_initial_transition_system_is_plus_one():
     g = gt3f()
     o = find_source_sink_orientation(g)
     ts = initial_transition_system(g, o)
-    assert ts.at(0) == {1: 2, 3: 4, 5: 0}
+    assert ts.transitions[0] == {1: 2, 3: 4, 5: 0}
 
 
 def test_cycles_of_canonical_fixtures():
@@ -87,7 +87,7 @@ def test_circuit_covers_every_edge_once(random_corpus):
         for v, d in g.vertices.items():
             assert len(circuit.positions[v]) == d // 2
         for vis in circuit.visits:
-            assert ts.at(vis.vertex)[vis.in_slot] == vis.out_slot
+            assert ts.transitions[vis.vertex][vis.in_slot] == vis.out_slot
 
 
 def test_final_transitions_are_rotating_or_splitting(random_corpus):

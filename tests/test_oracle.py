@@ -189,6 +189,19 @@ def test_relabelling_vertices_keeps_min_genus(random_corpus):
         assert oracle_min_genus(h) == oracle_min_genus(g)
 
 
+def test_permuting_edge_ids_keeps_min_genus(random_corpus, seeded_covers):
+    # the circuit starts at the lowest edge id, so this moves its start and
+    # reorders the initial cycles
+    rng = random.Random(20121222)
+    for g in random_corpus + seeded_covers((4, 5, 6, 7)):
+        ids = [e.id for e in g.edges]
+        shuffled = ids[:]
+        rng.shuffle(shuffled)
+        new_id = dict(zip(ids, shuffled))
+        h = StarGraph(g.vertices, [Edge(new_id[e.id], e.a, e.b) for e in g.edges])
+        assert min_genus(h).min_genus == min_genus(g).min_genus == oracle_min_genus(h)
+
+
 def _reslot(g: StarGraph, slot_of) -> StarGraph:
     """`g` with every half-edge moved to slot `slot_of(ref)` of its vertex."""
     edges = [Edge(e.id, HalfEdgeRef(e.a.vertex, slot_of(e.a)),

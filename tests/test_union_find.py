@@ -55,6 +55,24 @@ def test_parity_against_explicit_colouring():
             ry, py = uf.find(y)
             assert rx == ry
             assert px ^ py == d
+        # sides() is the explicit colouring with each component's lowest key at 0
+        adjacent = {x: [] for x in range(n)}
+        for x, y, d in constraints:
+            adjacent[x].append((y, d))
+            adjacent[y].append((x, d))
+        explicit = {}
+        for lowest in range(n):
+            if lowest in explicit:
+                continue
+            explicit[lowest] = 0
+            stack = [lowest]
+            while stack:
+                x = stack.pop()
+                for y, d in adjacent[x]:
+                    if y not in explicit:
+                        explicit[y] = explicit[x] ^ d
+                        stack.append(y)
+        assert uf.sides() == [explicit[x] for x in range(n)]
         if not consistent:
             continue
         # a concrete colouring drawn from find() must satisfy every constraint
