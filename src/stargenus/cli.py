@@ -14,14 +14,16 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import fixtures
 from .chords import Chord, Triad
 from .core_graph import (StarGraph, double_cover, parse_stg, require_source_sink,
                          serialize_stg, validate)
 from .errors import (InvalidGraphError, NotSourceSinkError, OracleCapExceeded,
                      StgParseError)
-from .genus import (build_pipeline, enumerate_permissible_partitions, genus_of_partition,
-                    min_genus_of_pipeline, planarity_of_pipeline)
+from .genus import (build_pipeline, min_genus_of_pipeline, partition_genera,
+                    planarity_of_pipeline)
 from .oracle import DEFAULT_CAP, coloring_flip, min_genus_bruteforce, traced_genera
 
 
@@ -201,13 +203,10 @@ def cmd_check(args) -> int:
 
     checked = mismatches = 0
     if args.all_partitions:
-        flip = coloring_flip(pipe)
-        # partitions come in ascending code order
-        for code, partition in enumerate(enumerate_permissible_partitions(pipe.diagram)):
-            rank_genus = genus_of_partition(pipe.matrix, partition)
-            checked += 1
-            if rank_genus != traced[code ^ flip]:
-                mismatches += 1
+        genera = partition_genera(pipe)
+        checked = len(genera)
+        codes = np.arange(checked)
+        mismatches = int(np.count_nonzero(genera != traced[codes ^ coloring_flip(pipe)]))
 
     ok = agree and mismatches == 0
     if args.json:

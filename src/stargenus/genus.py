@@ -17,7 +17,8 @@ at least 1 higher. The walk runs twice. Pass 1 takes the vertices in
 coupling-first order (most linked pairs to those already placed first) and
 finds the genus g; pass 2 takes them in ascending order, where leaves come
 in ascending code order, and stops at the first leaf of genus g, the
-lexicographically least witness.
+lexicographically least witness. `partition_genera` walks the same tree
+with no pruning, for the genus of every partition.
 
 Planarity (genus 0) does not need the search: it reduces to 2-colouring the
 chords so that linked chords and double-chord halves disagree while triad
@@ -32,6 +33,8 @@ import heapq
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .chords import (ChordDiagram, StarChordDiagram, build_star_chord_diagram,
                      expand, intersection_matrix, linked_pairs)
@@ -143,7 +146,13 @@ def partition_from_code(diagram: ChordDiagram, vertices: list[int],
 
 
 def enumerate_permissible_partitions(diagram: ChordDiagram) -> Iterator[PermissiblePartition]:
-    """All 2^n partitions, in ascending order of the side bit-vector."""
+    """All 2^n partitions, in ascending order of the side bit-vector.
+
+    The CLI's sweep takes its genera from `partition_genera` instead. This
+    and `genus_of_partition` stay public as the flat reference, one
+    `PermissiblePartition` at a time, that the tests and the benchmark's
+    traced replay check the search and the walk against.
+    """
     vertices = sorted({grp.vertex for grp in diagram.groups})
     chords_w, chords_b = _side_chords(diagram, vertices)
     for code in range(1 << len(vertices)):
@@ -160,6 +169,39 @@ def genus_of_partition(matrix: BitMatrix, partition: PermissiblePartition) -> in
     if (rw + rb) & 1:
         raise InvariantViolation("odd rank sum for a permissible partition")
     return (rw + rb) // 2
+
+
+def partition_genera(pipe: Pipeline) -> np.ndarray:
+    """The rank genus of every partition, indexed by its code (as in
+    `partition_from_code`).
+
+    One depth-first walk over the vertices in ascending order, W before B,
+    with no pruning; the two `SymplecticBasis` go down the stack, so a node
+    costs one vertex's insertions. The first vertex stays on W, so the
+    leaves are codes 0 to 2^(n-1) - 1 in ascending order. Code 2^n - 1 - c
+    is c with every side swapped, which exchanges the white and black chord
+    sets and keeps the genus, so it is read off c. The ranks are twice a
+    pair count, so their sum is even.
+    """
+    chords_w, chords_b = _side_chords(pipe.diagram, sorted(pipe.graph.vertices))
+    n = len(chords_w)
+    empty = SymplecticBasis(pipe.matrix.rows)
+    genera: list[int] = []
+    # (depth, whether that vertex is on B, white basis, black basis)
+    stack = [(0, False, empty, empty)]
+    while stack:
+        k, on_b, white, black = stack.pop()
+        to_white, to_black = (chords_b[k], chords_w[k]) if on_b else (chords_w[k], chords_b[k])
+        for i in to_white:
+            white = white.add(i)
+        for i in to_black:
+            black = black.add(i)
+        if k + 1 == n:
+            genera.append((white.rank + black.rank) // 2)
+        else:
+            stack.append((k + 1, True, white, black))
+            stack.append((k + 1, False, white, black))
+    return np.array(genera + genera[::-1], dtype=np.int8)
 
 
 def _coupling_order(chords_w: list[list[int]], chords_b: list[list[int]],

@@ -290,6 +290,15 @@ def test_check_agreement(capsys, stg):
         "partitions_checked": 4, "partition_mismatches": 0}
 
 
+def test_check_all_partitions_on_a_14_vertex_cover(capsys, stg, seeded_covers):
+    # 2^14 partitions, each with its rank genus and its traced genus
+    g = seeded_covers((7,))[0]
+    assert g.n_vertices == 14
+    code, out, _ = run_within(10, capsys, "check", stg("c", g), "--all-partitions")
+    assert code == 0
+    assert out == "genus: 5\noracle: 5\nagree: yes\npartitions: 16384 checked, 0 mismatches\n"
+
+
 # --- determinism -----------------------------------------------------------
 
 def test_repeated_runs_are_byte_identical(capsys, stg):

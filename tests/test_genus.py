@@ -16,6 +16,7 @@ from stargenus.genus import (_coupling_order, _lookahead, _search, _side_chords,
                              partition_from_code, planarity_of_pipeline, rank_pair)
 from stargenus.gf2 import BitMatrix, masked_rank
 from stargenus.oracle import traced_genera
+from stargenus.union_find import UnionFind
 
 
 def test_pipeline_rejects_invalid_and_unorientable():
@@ -172,10 +173,10 @@ def test_lookahead_is_the_least_extra_over_all_placements():
             assert _lookahead(up_w, up_b, mask_w, mask_b, start, cap) == min(extra, cap)
 
 
-def test_genus_is_the_same_in_any_search_order(random_corpus):
+def test_genus_is_the_same_in_any_search_order(random_corpus, seeded_covers):
     # the first pass may take the vertices in any order; only its genus is used
     rng = random.Random(1912)
-    for g in random_corpus:
+    for g in random_corpus + seeded_covers((4, 5, 6, 7)):
         pipe = build_pipeline(g)
         rows, chords_w, chords_b = _search_inputs(pipe)
         n = len(chords_w)
@@ -261,20 +262,46 @@ def test_planar_witness_realizes_genus_zero(random_corpus):
         assert genus_of_partition(pipe.matrix, part) == 0
 
 
-def test_planarity_agrees_with_min_genus(random_corpus):
-    for g in random_corpus[:80]:
+def _lowest_vertex_on_white(pipe, side: dict[int, str]) -> dict[int, str]:
+    """`side` with every component of the vertices that linked chords join
+    flipped, where needed, so that its lowest vertex is on W."""
+    vertices = sorted(side)
+    index = {v: k for k, v in enumerate(vertices)}
+    owner = [index[grp.vertex] for grp in pipe.diagram.groups]
+    uf = UnionFind(len(vertices))
+    for i, j in pipe.linked:
+        uf.union(owner[i], owner[j])
+    lowest_side: dict[int, str] = {}
+    out = {}
+    for k, v in enumerate(vertices):
+        flip = lowest_side.setdefault(uf.find(k), side[v]) == "B"
+        out[v] = {"W": "B", "B": "W"}[side[v]] if flip else side[v]
+    return out
+
+
+def test_planarity_agrees_with_min_genus(random_corpus, seeded_covers):
+    # the genus-0 partitions are one planar witness with any of those
+    # components flipped, so the least of them has every component's lowest
+    # vertex on W
+    planar = 0
+    for g in random_corpus + [chain(k) for k in (3, 7, 12)] + seeded_covers((4, 5, 6, 7)):
         pipe = build_pipeline(g)
-        assert planarity_of_pipeline(pipe).planar == \
-            (min_genus_of_pipeline(pipe).min_genus == 0)
+        result = planarity_of_pipeline(pipe)
+        least = min_genus_of_pipeline(pipe)
+        assert result.planar == (least.min_genus == 0)
+        if result.planar:
+            planar += 1
+            assert _lowest_vertex_on_white(pipe, result.witness) == least.witness.side
+    assert planar > 100
 
 
-def test_conflict_certificate_is_unsatisfiable(random_corpus):
+def test_conflict_certificate_is_unsatisfiable(random_corpus, seeded_covers):
     # every consecutive certificate pair must carry a real constraint, and
     # taken together the cycle's constraints must admit no 2-colouring
     from stargenus.chords import linked
     from stargenus.union_find import ParityUnionFind
     checked = 0
-    for g in random_corpus:
+    for g in random_corpus + seeded_covers((4, 5, 6, 7)):
         pipe = build_pipeline(g)
         result = planarity_of_pipeline(pipe)
         if result.planar:

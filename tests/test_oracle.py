@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from stargenus import cli
@@ -17,8 +18,9 @@ from stargenus.core_graph import (Edge, HalfEdgeRef, StarGraph, find_source_sink
 from stargenus.errors import NotSourceSinkError, OracleCapExceeded
 from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx
 from stargenus.genus import (build_pipeline, enumerate_permissible_partitions,
-                             genus_of_partition, min_genus, min_genus_of_pipeline)
-from stargenus.oracle import (BATCH, AtomColoring, chord_region_parity,
+                             genus_of_partition, min_genus, min_genus_of_pipeline,
+                             partition_genera)
+from stargenus.oracle import (BATCH, AtomColoring, chord_region_parity, coloring_flip,
                               coloring_of_partition, min_genus_bruteforce,
                               oracle_min_genus, trace_faces, traced_genera)
 
@@ -139,6 +141,18 @@ def test_pointwise_partition_vs_traced_genus(small_source_sink, random_corpus):
             assert rank_genus == traced.genus
 
 
+def test_partition_genera_match_the_flat_scan_and_the_oracle(small_source_sink, random_corpus,
+                                                           seeded_covers):
+    for g in small_source_sink + random_corpus[:60] + seeded_covers((3, 4, 5, 6)):
+        pipe = build_pipeline(g)
+        genera = partition_genera(pipe)
+        flat = [genus_of_partition(pipe.matrix, part)
+                for part in enumerate_permissible_partitions(pipe.diagram)]
+        assert genera.tolist() == flat
+        codes = np.arange(1 << g.n_vertices)
+        assert genera.tolist() == traced_genera(g)[codes ^ coloring_flip(pipe)].tolist()
+
+
 def test_min_genus_agrees_with_bruteforce(random_corpus):
     for g in random_corpus[:80]:
         assert min_genus_of_pipeline(build_pipeline(g)).min_genus == \
@@ -162,12 +176,14 @@ def test_traced_genera_match_trace_faces(small_source_sink, random_corpus):
 def test_all_partitions_sweep_reports_a_wrong_genus(capsys, tmp_path, monkeypatch):
     path = tmp_path / "t.stg"
     path.write_text(serialize_stg(gt3c()))
-    real = cli.genus_of_partition
+    real = cli.partition_genera
 
-    def off_by_one_at_b(matrix, partition):
-        return real(matrix, partition) + (partition.side == {0: "B"})
+    def off_by_one_at_b(pipe):
+        genera = real(pipe)
+        genera[1] += 1  # code 1 is {0: B}
+        return genera
 
-    monkeypatch.setattr(cli, "genus_of_partition", off_by_one_at_b)
+    monkeypatch.setattr(cli, "partition_genera", off_by_one_at_b)
     assert cli.main(["check", str(path), "--all-partitions"]) == 1
     assert "partitions: 2 checked, 1 mismatches" in capsys.readouterr().out
 
@@ -178,9 +194,9 @@ def _relabel(g: StarGraph, new_id: dict[int, int]) -> StarGraph:
     return StarGraph({new_id[v]: d for v, d in g.vertices.items()}, edges)
 
 
-def test_relabelling_vertices_keeps_min_genus(random_corpus):
+def test_relabelling_vertices_keeps_min_genus(random_corpus, seeded_covers):
     rng = random.Random(20121220)
-    for g in rng.sample(random_corpus, 30):
+    for g in rng.sample(random_corpus, 30) + seeded_covers((4, 5, 6, 7)):
         ids = sorted(g.vertices)
         shuffled = ids[:]
         rng.shuffle(shuffled)
