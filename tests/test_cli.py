@@ -13,6 +13,7 @@ import pytest
 from stargenus.cli import main
 from stargenus.core_graph import parse_stg, serialize_stg, validate
 from stargenus.fixtures import chain, ghopf, gt3c
+from stargenus.genus import min_genus
 
 
 @pytest.fixture()
@@ -219,6 +220,16 @@ def test_oracle_json(capsys, stg):
     assert json.loads(out) == {
         "source_sink": True, "n_vertices": 1, "min_genus": 1,
         "witness": {"0": 0}, "method": "bruteforce"}
+
+
+def test_oracle_at_the_default_cap_is_bounded(capsys, stg, seeded_covers):
+    # 2^20 colourings, the most the default cap allows
+    g = seeded_covers((10,))[0]
+    assert g.n_vertices == 20
+    code, out, _ = run_within(10, capsys, "oracle", stg("c", g))
+    assert code == 0
+    assert out.splitlines()[0] == "min genus: 8"
+    assert min_genus(g).min_genus == 8
 
 
 def test_oracle_cap_flag_and_env(capsys, stg, monkeypatch):

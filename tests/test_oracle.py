@@ -8,6 +8,7 @@ the genus of the surface traced from the corresponding colouring.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx
 from stargenus.genus import (build_pipeline, enumerate_permissible_partitions,
                              genus_of_partition, min_genus, min_genus_of_pipeline,
                              partition_genera)
-from stargenus.oracle import (BATCH, AtomColoring, chord_region_parity, coloring_flip,
+from stargenus.oracle import (BLOCK, AtomColoring, chord_region_parity, coloring_flip,
                               coloring_of_partition, min_genus_bruteforce,
                               oracle_min_genus, trace_faces, traced_genera)
 
@@ -159,10 +160,13 @@ def test_min_genus_agrees_with_bruteforce(random_corpus):
             min_genus_bruteforce(g)[0]
 
 
-def test_traced_genera_match_trace_faces(small_source_sink, random_corpus):
-    # chain(12) has more codes than one batch, so batch boundaries are covered
-    assert 1 << 12 > BATCH
-    for g in small_source_sink + random_corpus[:40] + [chain(12)]:
+def test_traced_genera_match_trace_faces(small_source_sink, random_corpus, seeded_covers):
+    # the 14-vertex cover has four blocks of codes, so the walk over the
+    # high bits fixes two vertices and every block boundary is covered
+    many_blocks = seeded_covers((7,))[0]
+    assert 1 << many_blocks.n_vertices >= 4 * BLOCK
+    for g in (small_source_sink + random_corpus[:40] + seeded_covers((3, 4, 5, 6))
+              + [chain(12), many_blocks]):
         o = find_source_sink_orientation(g)
         n = g.n_vertices
         verts = sorted(g.vertices)
@@ -171,6 +175,22 @@ def test_traced_genera_match_trace_faces(small_source_sink, random_corpus):
         for code in range(1 << n):
             bits = {v: (code >> (n - 1 - k)) & 1 for k, v in enumerate(verts)}
             assert genera[code] == trace_faces(g, o, AtomColoring(bits)).genus
+
+
+def test_traced_genera_working_set_is_bounded(seeded_covers):
+    # 2^18 colourings of a graph with 2m = 88 face slots: a segment-table
+    # row of all 88 slots per code would take 46 MB, and one block of all
+    # codes with rows trimmed to the open slots about 5 MB; the kernel keeps
+    # one table pair per level of its walk over the high bits
+    g = seeded_covers((9,))[0]
+    assert g.n_vertices == 18
+    tracemalloc.start()
+    try:
+        traced_genera(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_all_partitions_sweep_reports_a_wrong_genus(capsys, tmp_path, monkeypatch):
