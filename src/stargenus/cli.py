@@ -9,6 +9,7 @@ pipeline commands, unknown fixture names, oracle cap exceeded).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -235,6 +236,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stargenus",

@@ -17,8 +17,10 @@ at least 1 higher. The walk runs twice. Pass 1 takes the vertices in
 coupling-first order (most linked pairs to those already placed first) and
 finds the genus g; pass 2 takes them in ascending order, where leaves come
 in ascending code order, and stops at the first leaf of genus g, the
-lexicographically least witness. `partition_genera` walks the same tree
-with no pruning, for the genus of every partition.
+lexicographically least witness. `partition_genera` gives the genus of
+every partition from a layered dynamic programme over the same vertices,
+which merges the partial partitions whose bases leave the same residual
+form on the chords still to come.
 
 Planarity (genus 0) does not need the search: it reduces to 2-colouring the
 chords so that linked chords and double-chord halves disagree while triad
@@ -175,33 +177,54 @@ def partition_genera(pipe: Pipeline) -> np.ndarray:
     """The rank genus of every partition, indexed by its code (as in
     `partition_from_code`).
 
-    One depth-first walk over the vertices in ascending order, W before B,
-    with no pruning; the two `SymplecticBasis` go down the stack, so a node
-    costs one vertex's insertions. The first vertex stays on W, so the
-    leaves are codes 0 to 2^(n-1) - 1 in ascending order. Code 2^n - 1 - c
-    is c with every side swapped, which exchanges the white and black chord
-    sets and keeps the genus, so it is read off c. The ranks are twice a
-    pair count, so their sum is even.
+    A layered dynamic programme over the vertices in coupling-first order
+    (`_coupling_order`) that carries only the white `SymplecticBasis`, for
+    all 2^n codes: code 2^n - 1 - c swaps every side of c, so the black
+    rank of c is the white rank of 2^n - 1 - c. A level places one vertex,
+    inserting its white chords into each state's basis for W and the
+    others for B. Children whose `SymplecticBasis.residual` over the chords
+    still to come is equal gain the same rank from every completion, so
+    they merge into one state, and a level has as many states as there are
+    distinct residual keys rather than 2^k. Each code carries its state id
+    and its white rank so far through numpy arrays, which place the new
+    vertex's bit where its vertex id ranks among the placed ones, so the
+    codes stay in ascending vertex order. The ranks are twice a pair count,
+    so the sums are even.
     """
     chords_w, chords_b = _side_chords(pipe.diagram, sorted(pipe.graph.vertices))
-    n = len(chords_w)
-    empty = SymplecticBasis(pipe.matrix.rows)
-    genera: list[int] = []
-    # (depth, whether that vertex is on B, white basis, black basis)
-    stack = [(0, False, empty, empty)]
-    while stack:
-        k, on_b, white, black = stack.pop()
-        to_white, to_black = (chords_b[k], chords_w[k]) if on_b else (chords_w[k], chords_b[k])
-        for i in to_white:
-            white = white.add(i)
-        for i in to_black:
-            black = black.add(i)
-        if k + 1 == n:
-            genera.append((white.rank + black.rank) // 2)
-        else:
-            stack.append((k + 1, True, white, black))
-            stack.append((k + 1, False, white, black))
-    return np.array(genera + genera[::-1], dtype=np.int8)
+    live = (1 << len(pipe.matrix.rows)) - 1  # the chords of the vertices not yet placed
+    states = [SymplecticBasis(pipe.matrix.rows)]
+    # per code: its state's id and its white rank so far
+    lane = np.zeros(1, dtype=np.int32)
+    rank = np.zeros(1, dtype=np.int16)
+    placed = 0  # bitmask of the vertex positions placed so far
+    for k in _coupling_order(chords_w, chords_b, pipe.linked):
+        live &= ~_mask(chords_w[k] + chords_b[k])
+        index: dict[tuple, int] = {}
+        children: list[SymplecticBasis] = []
+        child: list[int] = []  # per state and bit, W then B
+        gain: list[int] = []
+        for basis in states:
+            for chords in (chords_w[k], chords_b[k]):
+                grown = basis
+                for i in chords:
+                    grown = grown.add(i)
+                c = index.setdefault(grown.residual(live), len(children))
+                if c == len(children):
+                    children.append(grown)
+                child.append(c)
+                gain.append(grown.rank - basis.rank)
+        # a code so far is big-endian over the placed vertices in ascending
+        # order, so k's bit goes between those placed before k and after it
+        after = 1 << (placed >> k).bit_count()
+        shape = (len(lane) // after, after, 2)
+        gain_of = np.array(gain, dtype=np.int16).reshape(-1, 2)[lane].reshape(shape)
+        child_of = np.array(child, dtype=np.int32).reshape(-1, 2)[lane].reshape(shape)
+        rank = (rank.reshape(shape[0], after, 1) + gain_of).transpose(0, 2, 1).ravel()
+        lane = child_of.transpose(0, 2, 1).ravel()
+        states = children
+        placed |= 1 << k
+    return ((rank + rank[::-1]) // 2).astype(np.int8)
 
 
 def _coupling_order(chords_w: list[list[int]], chords_b: list[list[int]],

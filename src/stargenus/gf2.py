@@ -156,6 +156,61 @@ class SymplecticBasis:
         # a zero image pairs with nothing, so it need not be kept
         return SymplecticBasis(self.rows, self.pairs, radical + (x,) if x else radical)
 
+    def residual(self, live: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """A hashable key for what the rank gains from inserting any subset
+        of `live` (a bitmask of indices not inserted yet) depend on.
+
+        The key has two parts: the reduced row echelon form of the radical
+        images masked to `live`, and for each live j in ascending order the
+        image of e_j projected off the pairs, masked to `live`. Two bases
+        with equal keys gain the same rank from every T within `live`.
+        Proof: the pairs span a nondegenerate subspace H, so the span of the
+        inserted and the T vectors is H plus its orthogonal complement
+        there, which the radical R and the projections e_j' of e_j off H
+        (j in T) span. The rank grows by the rank of the form on that
+        complement, that is of the Gram matrix [[0, C], [C^T, D]] over a
+        basis of R and the e_j'. B(r, e_j') = B(r, e_j) is bit j of r's
+        image, so C is the radical images on T, and a change of radical
+        basis is a congruence (rows that vanish on `live` add nothing). And
+        B(e_i', e_j') = B(e_i, e_j') is bit i of e_j's projected image, so
+        D is the projected images on T.
+
+        The key is exact but not canonical: the pairs span one of many
+        complements of the radical, and another one moves each e_j' by a
+        radical vector, so bases with equal gains can have different keys.
+        """
+        echelon: dict[int, int] = {}  # leading bit -> row, fully reduced
+        for r in self.radical:
+            r &= live
+            for lead, p in echelon.items():
+                if r >> lead & 1:
+                    r ^= p
+            if r:
+                lead = r.bit_length() - 1
+                for other, p in echelon.items():
+                    if p >> lead & 1:
+                        echelon[other] = p ^ r
+                echelon[lead] = r
+        # as in `add`, projecting e_j off a pair with images (u, v) adds u
+        # to its image when bit j of v is set, and v when bit j of u is
+        correction = [0] * len(self.rows)
+        for u, v in self.pairs:
+            u &= live
+            v &= live
+            for a, b in ((u, v), (v, u)):
+                while a:
+                    low = a & -a
+                    correction[low.bit_length() - 1] ^= b
+                    a ^= low
+        projected = []
+        rest = live
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            projected.append(self.rows[j] & live ^ correction[j])
+            rest ^= low
+        return tuple(sorted(echelon.values())), tuple(projected)
+
 
 def masked_rank(m: BitMatrix, indices) -> int:
     """Rank of the principal submatrix on `indices`, without repacking.

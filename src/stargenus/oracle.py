@@ -11,10 +11,12 @@ search, and it is capped.
 The face-successor rule is written once, in `_successor_tables`, which
 gives for every edge its next edge on the white and on the black face for
 either colour bit of the vertex the face passes through. `trace_faces`
-walks those tables for one colouring. `traced_genera` builds them once per
-graph and counts the faces of every colouring at once, vertex by vertex:
-fixing a vertex's colour bit adds the links out of its face slots, and a
-table of open path segments per colouring tells which link closes a face.
+walks those tables for one colouring, through `_count_faces`, which callers
+that trace many colourings give tables built once. `traced_genera` builds
+them once per graph and counts the faces of every colouring at once, vertex
+by vertex: fixing a vertex's colour bit adds the links out of its face
+slots, and a table of open path segments per colouring tells which link
+closes a face.
 Colourings that share a vertex prefix share its links, so each colouring
 costs about two vertices' links instead of a walk over all its edges, and
 the table keeps only the slots of the vertices not yet done.
@@ -115,16 +117,21 @@ def _cycle_count(successor: list[int]) -> int:
 
 
 def trace_faces(g: StarGraph, orientation: Orientation, coloring: AtomColoring) -> FaceCount:
-    """Face counts and genus of the checkerboard surface for one colouring.
+    """Face counts and genus of the checkerboard surface for one colouring."""
+    return _count_faces(_successor_tables(g, orientation), coloring)
+
+
+def _count_faces(t: _SuccessorTables, coloring: AtomColoring) -> FaceCount:
+    """`trace_faces` on the graph's successor tables, which callers that
+    trace many colourings of one graph build once.
 
     Both successor maps are permutations of the edge set, so their cycle
     counts are the white and the black faces.
     """
-    t = _successor_tables(g, orientation)
     bit = [coloring.bits[v] for v in t.vertices]
     white = _cycle_count([t.white[bit[h]][e] for e, h in enumerate(t.head)])
     black = _cycle_count([t.black[bit[v]][e] for e, v in enumerate(t.tail)])
-    euler = g.n_vertices - g.n_edges + white + black
+    euler = len(t.vertices) - len(t.head) + white + black
     if euler % 2:
         raise InvariantViolation("odd Euler characteristic")
     genus = (2 - euler) // 2

@@ -5,7 +5,8 @@ vertices (every perfect matching of the slot stubs for degree profiles 4, 6,
 4+4, 4+6, 6+4 and 6+6 that validates, connectivity included), and
 `small_source_sink` its source-sink subset. `random_corpus` adds 200 seeded
 source-sink graphs with up to 10 mixed-degree vertices. `seeded_covers`
-builds larger source-sink graphs: parity double covers.
+builds larger source-sink graphs: parity double covers, and
+`connected_sums` chains of small ones into one graph.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import random
 
 import pytest
 
-from stargenus.core_graph import StarGraph, double_cover, is_source_sink, validate
+from stargenus.core_graph import (Edge, HalfEdgeRef, StarGraph, double_cover, is_source_sink,
+                                  validate)
 from stargenus.fixtures import random_star_graph
 
 SMALL_DEGREE_PROFILES = [{0: 4}, {0: 6}, {0: 4, 1: 4}, {0: 4, 1: 6},
@@ -75,6 +77,36 @@ def build_seeded_covers(sizes, seed: int = 0) -> list[StarGraph]:
                 out.append(g)
                 break
     return out
+
+
+def build_connected_sum(n4: int, n6: int, blocks: int, seed: int = 1000) -> StarGraph:
+    """The connected sum of `blocks` double covers of bases with n4
+    4-vertices and n6 6-vertices, drawn with the next seeds whose cover is
+    connected. Block i's vertex and edge ids are shifted past block i - 1's;
+    then, for each i, the last edge (a1, b1) of block i and the first edge
+    (a2, b2) of block i + 1 become (a1, b2) and (a2, b1)."""
+    covers = []
+    while len(covers) < blocks:
+        seed += 1
+        g = double_cover(random_star_graph(seed, n4, n6))
+        if not validate(g):
+            covers.append(g)
+    vertices: dict[int, int] = {}
+    chained: list[list[Edge]] = []
+    for g in covers:
+        shift, eshift = len(vertices), sum(len(edges) for edges in chained)
+        vertices.update((v + shift, d) for v, d in g.vertices.items())
+        chained.append([Edge(e.id + eshift, HalfEdgeRef(e.a.vertex + shift, e.a.slot),
+                             HalfEdgeRef(e.b.vertex + shift, e.b.slot)) for e in g.edges])
+    for left, right in zip(chained, chained[1:]):
+        (i, a1, b1), (j, a2, b2) = ((e.id, e.a, e.b) for e in (left[-1], right[0]))
+        left[-1], right[0] = Edge(i, a1, b2), Edge(j, a2, b1)
+    return StarGraph(vertices, [e for edges in chained for e in edges])
+
+
+@pytest.fixture(scope="session")
+def connected_sums():
+    return build_connected_sum
 
 
 @pytest.fixture(scope="session")

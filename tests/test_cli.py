@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from stargenus.cli import main
+from stargenus.cli import build_parser, main
 from stargenus.core_graph import parse_stg, serialize_stg, validate
 from stargenus.fixtures import chain, ghopf, gt3c
 from stargenus.genus import min_genus
@@ -311,6 +311,30 @@ def test_check_all_partitions_on_a_14_vertex_cover(capsys, stg, seeded_covers):
 
 
 # --- determinism -----------------------------------------------------------
+
+def test_calls_in_one_process_match_calls_made_alone(capsys, stg, monkeypatch):
+    # the parser is built once per process; no flag or default of one call
+    # may reach the next
+    assert build_parser() is build_parser()
+    path = stg("r", chain(7))
+    calls = [(["check", path, "--all-partitions"], None), (["check", path, "--json"], None),
+             (["check", path, "--cap", "5"], None), (["check", path], "5"),
+             (["check", path], None)]
+    results = []
+    for argv, cap in calls:
+        if cap is None:
+            monkeypatch.delenv("STARGENUS_ORACLE_CAP", raising=False)
+        else:
+            monkeypatch.setenv("STARGENUS_ORACLE_CAP", cap)
+        code, out, _ = run(capsys, *argv)
+        alone = subprocess.run([sys.executable, "-m", "stargenus", *argv],
+                               capture_output=True, text=True)
+        assert (code, out) == (alone.returncode, alone.stdout), argv
+        results.append((code, out))
+    # each call differs from the one before it, so a leak would show
+    assert [code for code, _ in results] == [0, 0, 2, 2, 0]
+    assert len({out for _, out in results}) == 4
+
 
 def test_repeated_runs_are_byte_identical(capsys, stg):
     from stargenus.fixtures import random_star_graph

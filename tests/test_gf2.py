@@ -117,3 +117,33 @@ def test_symplectic_raisers_predict_rank_growth():
         for k, basis in enumerate(bases):
             for i in order[k:]:
                 assert bool(basis.raisers >> i & 1) == (basis.add(i).rank == basis.rank + 2)
+
+
+def _subsets(items):
+    return [[x for k, x in enumerate(items) if code >> k & 1] for code in range(1 << len(items))]
+
+
+def test_symplectic_residual_fixes_every_gain():
+    # bases with equal residuals over the live indices gain the same rank
+    # (by masked_rank) from every subset of them; each set is inserted in two
+    # random orders, which can split the pairs differently
+    rng = random.Random(2012)
+    merged = 0
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        m = random_symmetric_zero_diagonal(rng, n, density=rng.choice((0.2, 0.4, 0.6)))
+        live_indices = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+        live = sum(1 << j for j in live_indices)
+        placed = [i for i in range(n) if i not in live_indices]
+        gains_of = {}
+        for inserted in _subsets(placed):
+            base = masked_rank(m, inserted)
+            gains = [masked_rank(m, inserted + extra) - base for extra in _subsets(live_indices)]
+            for _ in range(2):
+                basis = SymplecticBasis(m.rows)
+                for i in rng.sample(inserted, len(inserted)):
+                    basis = basis.add(i)
+                key = basis.residual(live)
+                merged += key in gains_of
+                assert gains_of.setdefault(key, gains) == gains
+    assert merged > 1000

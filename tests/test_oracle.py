@@ -21,9 +21,10 @@ from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx
 from stargenus.genus import (build_pipeline, enumerate_permissible_partitions,
                              genus_of_partition, min_genus, min_genus_of_pipeline,
                              partition_genera)
-from stargenus.oracle import (BLOCK, AtomColoring, chord_region_parity, coloring_flip,
-                              coloring_of_partition, min_genus_bruteforce,
-                              oracle_min_genus, trace_faces, traced_genera)
+from stargenus.oracle import (BLOCK, AtomColoring, _count_faces, _successor_tables,
+                              chord_region_parity, coloring_flip, coloring_of_partition,
+                              min_genus_bruteforce, oracle_min_genus, trace_faces,
+                              traced_genera)
 
 
 def test_trace_faces_g8_pinned():
@@ -143,8 +144,13 @@ def test_pointwise_partition_vs_traced_genus(small_source_sink, random_corpus):
 
 
 def test_partition_genera_match_the_flat_scan_and_the_oracle(small_source_sink, random_corpus,
-                                                           seeded_covers):
-    for g in small_source_sink + random_corpus[:60] + seeded_covers((3, 4, 5, 6)):
+                                                           seeded_covers, connected_sums):
+    # in the 12-vertex connected sums nearly every state of the programme
+    # merges with another; the 14-vertex cover is checked against the oracle
+    # alone, since the flat scan of its 2^14 partitions is slow
+    sums = [connected_sums(*blocks) for blocks in ((1, 1, 3), (2, 1, 2), (1, 2, 2))]
+    assert {g.n_vertices for g in sums} == {12}
+    for g in small_source_sink + random_corpus[:60] + seeded_covers((3, 4, 5, 6)) + sums:
         pipe = build_pipeline(g)
         genera = partition_genera(pipe)
         flat = [genus_of_partition(pipe.matrix, part)
@@ -152,6 +158,27 @@ def test_partition_genera_match_the_flat_scan_and_the_oracle(small_source_sink, 
         assert genera.tolist() == flat
         codes = np.arange(1 << g.n_vertices)
         assert genera.tolist() == traced_genera(g)[codes ^ coloring_flip(pipe)].tolist()
+    g = seeded_covers((7,), seed=100)[0]
+    assert g.n_vertices == 14
+    pipe = build_pipeline(g)
+    codes = np.arange(1 << g.n_vertices)
+    assert partition_genera(pipe).tolist() == \
+        traced_genera(g)[codes ^ coloring_flip(pipe)].tolist()
+
+
+def test_partition_genera_working_set_is_bounded(seeded_covers):
+    # 2^18 codes, each with an int32 state id and an int16 rank sum: about
+    # 1.5 MB, a few times over while a level is rebuilt
+    g = seeded_covers((9,))[0]
+    assert g.n_vertices == 18
+    pipe = build_pipeline(g)
+    tracemalloc.start()
+    try:
+        partition_genera(pipe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10 ** 6
 
 
 def test_min_genus_agrees_with_bruteforce(random_corpus):
@@ -167,14 +194,14 @@ def test_traced_genera_match_trace_faces(small_source_sink, random_corpus, seede
     assert 1 << many_blocks.n_vertices >= 4 * BLOCK
     for g in (small_source_sink + random_corpus[:40] + seeded_covers((3, 4, 5, 6))
               + [chain(12), many_blocks]):
-        o = find_source_sink_orientation(g)
+        tables = _successor_tables(g, find_source_sink_orientation(g))
         n = g.n_vertices
         verts = sorted(g.vertices)
         genera = traced_genera(g, cap=None)
         assert len(genera) == 1 << n
         for code in range(1 << n):
             bits = {v: (code >> (n - 1 - k)) & 1 for k, v in enumerate(verts)}
-            assert genera[code] == trace_faces(g, o, AtomColoring(bits)).genus
+            assert genera[code] == _count_faces(tables, AtomColoring(bits)).genus
 
 
 def test_traced_genera_working_set_is_bounded(seeded_covers):
