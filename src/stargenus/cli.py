@@ -24,7 +24,7 @@ from .core_graph import (StarGraph, double_cover, parse_stg, require_source_sink
 from .errors import (InvalidGraphError, NotSourceSinkError, OracleCapExceeded,
                      StgParseError)
 from .genus import (build_pipeline, min_genus_of_pipeline, partition_genera,
-                    planarity_of_pipeline)
+                    planarity_of_pipeline, search_genus)
 from .oracle import DEFAULT_CAP, coloring_flip, min_genus_bruteforce, traced_genera
 
 
@@ -197,17 +197,20 @@ def cmd_oracle(args) -> int:
 
 def cmd_check(args) -> int:
     pipe = build_pipeline(_load_graph(args.graph))
-    result = min_genus_of_pipeline(pipe)
+    # pass 1 of the search alone: check prints no witness, so it needs no
+    # least one; the leaf pass 1 stopped at must trace to the same genus
+    result = search_genus(pipe)
     traced = traced_genera(pipe.graph, cap=_resolve_cap(args))
+    flip = coloring_flip(pipe)
     oracle_genus = int(traced.min())
-    agree = result.min_genus == oracle_genus
+    agree = result.min_genus == oracle_genus == int(traced[result.witness.code ^ flip])
 
     checked = mismatches = 0
     if args.all_partitions:
         genera = partition_genera(pipe)
         checked = len(genera)
         codes = np.arange(checked)
-        mismatches = int(np.count_nonzero(genera != traced[codes ^ coloring_flip(pipe)]))
+        mismatches = int(np.count_nonzero(genera != traced[codes ^ flip]))
 
     ok = agree and mismatches == 0
     if args.json:

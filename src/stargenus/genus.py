@@ -13,11 +13,13 @@ final one from below, a branch is cut as soon as its half rank sum reaches
 the best genus found. A one-step lookahead adds up to 1 per side: the
 basis knows which chords would raise its rank, and if every way of placing
 the remaining vertices sends such a chord to a side, every leaf below is
-at least 1 higher. The walk runs twice. Pass 1 takes the vertices in
+at least 1 higher. The walk has two passes. Pass 1 takes the vertices in
 coupling-first order (most linked pairs to those already placed first) and
-finds the genus g; pass 2 takes them in ascending order, where leaves come
-in ascending code order, and stops at the first leaf of genus g, the
-lexicographically least witness. `partition_genera` gives the genus of
+finds the genus g with a leaf of genus g; `search_genus` runs it alone, for
+callers that need no least witness. Pass 2 takes the vertices in ascending
+order, where leaves come in ascending code order, and stops at the first
+leaf of genus g, the lexicographically least witness that
+`min_genus_of_pipeline` reports. `partition_genera` gives the genus of
 every partition from a layered dynamic programme over the same vertices,
 which merges the partial partitions whose bases leave the same residual
 form on the chords still to come.
@@ -87,6 +89,14 @@ class PermissiblePartition:
     side: dict[int, str]
     white: tuple[int, ...]
     black: tuple[int, ...]
+
+    @property
+    def code(self) -> int:
+        """The side bit-vector, as in `partition_from_code`."""
+        code = 0
+        for v in sorted(self.side):
+            code = code << 1 | (self.side[v] == SIDE_BLACK)
+        return code
 
 
 @dataclass(frozen=True)
@@ -304,8 +314,8 @@ def _search(rows: tuple[int, ...], chords_w: list[list[int]], chords_b: list[lis
     """Depth-first search over the vertices in `order`, W before B, for
     leaves of genus below `best`. Each leaf found lowers `best`; the search
     stops once `best` is at most `floor`. Returns (genus, code, rank_w,
-    rank_b) of the last leaf found, or None; bit k of `code`
-    (big-endian) is the side of vertex order[k].
+    rank_b) of the last leaf found, or None; `code` is over the vertices in
+    ascending order, as in `partition_from_code`, whatever `order` is.
 
     The first vertex is fixed to W: flipping every vertex swaps the two
     chord sets and keeps the genus. A node is cut when its half rank sum
@@ -344,31 +354,53 @@ def _search(rows: tuple[int, ...], chords_w: list[list[int]], chords_b: list[lis
                 white.raisers, black.raisers, mask_w, mask_b, k + 1, best - bound) < best:
             stack.append((k + 1, code << 1 | 1, white, black, bound))
             stack.append((k + 1, code << 1, white, black, bound))
-    return found
+    if found is None:
+        return None
+    # bit k of the walk's code (big-endian) is the side of vertex order[k]
+    genus, code, rw, rb = found
+    ascending = 0
+    for k, position in enumerate(order):
+        ascending |= (code >> (n - 1 - k) & 1) << (n - 1 - position)
+    return genus, ascending, rw, rb
 
 
-def _branch_and_bound(rows: tuple[int, ...], chords_w: list[list[int]],
-                      chords_b: list[list[int]], linked) -> tuple[int, int, int, int]:
-    """Least (genus, code, rank_w, rank_b), in two passes of `_search`.
-
-    Pass 1 finds the genus g. It takes the vertices in coupling-first order
-    (`_coupling_order`), so the ranks, and with them the bounds, grow early
-    and good leaves come soon; it stops at a genus-0 leaf. Pass 2 searches
-    again in ascending order, where leaves come in ascending code order,
-    with `best` at g + 1: every cut branch holds only leaves above g, so
-    the first leaf it reaches is the least code of genus g. When the
-    coupling order is the ascending one, pass 1 already was that search:
-    its last leaf is the first of genus g in code order.
-    """
+def _pass_one(rows: tuple[int, ...], chords_w: list[list[int]], chords_b: list[list[int]],
+              linked) -> tuple[tuple[int, int, int, int], bool]:
+    """Pass 1: the genus g and a leaf of genus g, from `_search` in
+    coupling-first order (`_coupling_order`), so the ranks, and with them
+    the bounds, grow early and good leaves come soon; it stops at a genus-0
+    leaf. Returns the leaf as `_search` does, and whether it is already the
+    least code of genus g: it is when the coupling order is the ascending
+    one, since then pass 1 was pass 2."""
     order = _coupling_order(chords_w, chords_b, linked)
-    ascending = list(range(len(chords_w)))
     found = _search(rows, chords_w, chords_b, order, len(rows), 0)
     assert found is not None
-    if order != ascending:  # else pass 1 was pass 2 already
-        genus = found[0]
-        found = _search(rows, chords_w, chords_b, ascending, genus + 1, genus)
-        assert found is not None
+    return found, order == sorted(order)
+
+
+def _pass_two(rows: tuple[int, ...], chords_w: list[list[int]], chords_b: list[list[int]],
+              genus: int) -> tuple[int, int, int, int]:
+    """Pass 2: the least code of genus `genus`, by `_search` in ascending
+    order, where leaves come in ascending code order, with `best` at
+    genus + 1: every cut branch holds only leaves above the genus, so the
+    first leaf it reaches is the least."""
+    found = _search(rows, chords_w, chords_b, list(range(len(chords_w))), genus + 1, genus)
+    assert found is not None
     return found
+
+
+def _checked(matrix: BitMatrix, vertices: list[int], chords_w: list[list[int]],
+             chords_b: list[list[int]], found: tuple[int, int, int, int]) -> GenusResult:
+    """The leaf `found` as a GenusResult, once `masked_rank` reproduces the
+    search's ranks there; those are twice a pair count, so an odd rank sum
+    fails this check too."""
+    genus, code, rw, rb = found
+    leaf = _partition(vertices, chords_w, chords_b, code)
+    checked = rank_pair(matrix, leaf)
+    if checked != (rw, rb):
+        raise InvariantViolation(f"leaf ranks {checked} differ from the "
+                                 f"search's {(rw, rb)}")
+    return GenusResult(genus, leaf, (rw, rb))
 
 
 def min_genus(g: StarGraph, threads: Optional[int] = None) -> GenusResult:
@@ -381,20 +413,30 @@ def min_genus(g: StarGraph, threads: Optional[int] = None) -> GenusResult:
     return min_genus_of_pipeline(pipe, threads=threads)
 
 
-def min_genus_of_pipeline(pipe: Pipeline, threads: Optional[int] = None) -> GenusResult:
-    """`min_genus` on a built pipeline. Raises InvariantViolation when
-    `masked_rank` does not reproduce the search's ranks at the witness;
-    those are twice a pair count, so an odd rank sum fails this check too."""
+def search_genus(pipe: Pipeline) -> GenusResult:
+    """The minimal genus from pass 1 of the search alone. The witness is
+    the leaf pass 1 stopped at: a partition of that genus, but not
+    necessarily the least one that `min_genus_of_pipeline` reports. Raises
+    InvariantViolation when `masked_rank` does not reproduce the search's
+    ranks at that leaf."""
     vertices = sorted(pipe.graph.vertices)
     chords_w, chords_b = _side_chords(pipe.diagram, vertices)
-    genus, code, rw, rb = _branch_and_bound(pipe.matrix.rows, chords_w, chords_b,
-                                            pipe.linked)
-    witness = _partition(vertices, chords_w, chords_b, code)
-    checked = rank_pair(pipe.matrix, witness)
-    if checked != (rw, rb):
-        raise InvariantViolation(f"witness ranks {checked} differ from the "
-                                 f"search's {(rw, rb)}")
-    return GenusResult(genus, witness, (rw, rb))
+    found, _ = _pass_one(pipe.matrix.rows, chords_w, chords_b, pipe.linked)
+    return _checked(pipe.matrix, vertices, chords_w, chords_b, found)
+
+
+def min_genus_of_pipeline(pipe: Pipeline, threads: Optional[int] = None) -> GenusResult:
+    """`min_genus` on a built pipeline: pass 1 finds the genus, and pass 2,
+    unless pass 1 already was it, the least witness. Raises
+    InvariantViolation when `masked_rank` does not reproduce the search's
+    ranks at the witness."""
+    vertices = sorted(pipe.graph.vertices)
+    chords_w, chords_b = _side_chords(pipe.diagram, vertices)
+    rows = pipe.matrix.rows
+    found, least = _pass_one(rows, chords_w, chords_b, pipe.linked)
+    if not least:
+        found = _pass_two(rows, chords_w, chords_b, found[0])
+    return _checked(pipe.matrix, vertices, chords_w, chords_b, found)
 
 
 def is_planar(g: StarGraph) -> PlanarityResult:

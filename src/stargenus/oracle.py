@@ -31,7 +31,7 @@ import numpy as np
 
 from .core_graph import HalfEdgeRef, Orientation, StarGraph, require_source_sink
 from .errors import InvariantViolation, OracleCapExceeded
-from .genus import Pipeline, PermissiblePartition, SIDE_BLACK
+from .genus import Pipeline, PermissiblePartition
 
 DEFAULT_CAP = 20
 # Colourings per block, a power of two. The low log2(BLOCK) vertices are
@@ -325,8 +325,4 @@ def coloring_flip(pipe: Pipeline) -> int:
 
 def coloring_of_partition(pipe: Pipeline, partition: PermissiblePartition) -> AtomColoring:
     """The atom colouring whose checkerboard surface realizes the partition."""
-    vertices = sorted(partition.side)
-    code = 0
-    for v in vertices:
-        code = code << 1 | (partition.side[v] == SIDE_BLACK)
-    return _coloring_of_code(vertices, code ^ coloring_flip(pipe))
+    return _coloring_of_code(sorted(partition.side), partition.code ^ coloring_flip(pipe))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import signal
 import subprocess
@@ -10,10 +11,12 @@ import time
 
 import pytest
 
+from stargenus import cli
 from stargenus.cli import build_parser, main
 from stargenus.core_graph import parse_stg, serialize_stg, validate
 from stargenus.fixtures import chain, ghopf, gt3c
-from stargenus.genus import min_genus
+from stargenus.genus import (_search, build_pipeline, min_genus, partition_from_code,
+                             search_genus)
 
 
 @pytest.fixture()
@@ -308,6 +311,55 @@ def test_check_all_partitions_on_a_14_vertex_cover(capsys, stg, seeded_covers):
     code, out, _ = run_within(10, capsys, "check", stg("c", g), "--all-partitions")
     assert code == 0
     assert out == "genus: 5\noracle: 5\nagree: yes\npartitions: 16384 checked, 0 mismatches\n"
+
+
+def test_check_runs_one_search_and_never_the_witness_pass(capsys, stg, seeded_covers,
+                                                         monkeypatch):
+    # check prints no witness, so it runs pass 1 alone; genus still runs both
+    g = seeded_covers((7,))[0]
+    path = stg("c", g)
+    orders = []
+
+    def counted(rows, chords_w, chords_b, order, best, floor):
+        orders.append(order)
+        return _search(rows, chords_w, chords_b, order, best, floor)
+
+    def refuse(*args):
+        raise AssertionError("check ran the least-witness pass")
+
+    monkeypatch.setattr("stargenus.genus._search", counted)
+    with monkeypatch.context() as patched:
+        patched.setattr("stargenus.genus._pass_two", refuse)
+        for argv, expected in (
+                ([], "genus: 5\noracle: 5\nagree: yes\n"),
+                (["--json"], '{"min_genus": 5, "oracle_min_genus": 5, "agree": true}\n'),
+                (["--all-partitions"], "genus: 5\noracle: 5\nagree: yes\n"
+                                       "partitions: 16384 checked, 0 mismatches\n")):
+            orders.clear()
+            assert run_within(10, capsys, "check", path, *argv) == (0, expected, ""), argv
+            assert len(orders) == 1, argv
+
+    orders.clear()
+    code, out, _ = run(capsys, "genus", path)
+    assert code == 0 and out.startswith("min genus: 5\n")
+    coupling, ascending = orders
+    assert coupling != ascending == list(range(14))
+
+
+def test_check_reports_a_wrong_search_genus_or_leaf(capsys, stg, seeded_covers, monkeypatch):
+    g = seeded_covers((4,))[0]
+    path = stg("c", g)
+    pipe = build_pipeline(g)
+    right = search_genus(pipe)
+    assert right.min_genus == 3
+    # the all-W partition has genus 6, so it is no leaf of genus 3
+    all_white = partition_from_code(pipe.diagram, sorted(g.vertices), 0)
+    for wrong, shown in ((dataclasses.replace(right, min_genus=4), 4),
+                         (dataclasses.replace(right, witness=all_white), 3)):
+        monkeypatch.setattr(cli, "search_genus", lambda pipe, wrong=wrong: wrong)
+        assert run(capsys, "check", path) == (1, f"genus: {shown}\noracle: 3\nagree: NO\n", "")
+        assert run(capsys, "check", path, "--json") == (
+            1, f'{{"min_genus": {shown}, "oracle_min_genus": 3, "agree": false}}\n', "")
 
 
 # --- determinism -----------------------------------------------------------

@@ -13,9 +13,10 @@ from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx
 from stargenus.genus import (_coupling_order, _lookahead, _search, _side_chords, build_pipeline,
                              enumerate_permissible_partitions, genus_of_partition,
                              is_planar, min_genus, min_genus_of_pipeline,
-                             partition_from_code, planarity_of_pipeline, rank_pair)
+                             partition_from_code, planarity_of_pipeline, rank_pair,
+                             search_genus)
 from stargenus.gf2 import BitMatrix, masked_rank
-from stargenus.oracle import traced_genera
+from stargenus.oracle import coloring_flip, traced_genera
 from stargenus.union_find import UnionFind
 
 
@@ -174,7 +175,7 @@ def test_lookahead_is_the_least_extra_over_all_placements():
 
 
 def test_genus_is_the_same_in_any_search_order(random_corpus, seeded_covers):
-    # the first pass may take the vertices in any order; only its genus is used
+    # the first pass may take the vertices in any order and finds the same genus
     rng = random.Random(1912)
     for g in random_corpus + seeded_covers((4, 5, 6, 7)):
         pipe = build_pipeline(g)
@@ -212,8 +213,24 @@ def test_search_cross_checks_witness_ranks():
     pipe = build_pipeline(gt3c())
     assert pipe.matrix.rows == (0b10, 0b01)
     lopsided = dataclasses.replace(pipe, matrix=BitMatrix(2, (0b10, 0b00)))
-    with pytest.raises(InvariantViolation):
-        min_genus_of_pipeline(lopsided)
+    for search in (min_genus_of_pipeline, search_genus):
+        with pytest.raises(InvariantViolation):
+            search(lopsided)
+
+
+def test_search_genus_finds_the_genus_and_a_leaf_of_it(random_corpus, seeded_covers,
+                                                      connected_sums):
+    # pass 1 alone: the same genus as both passes and the oracle, at a leaf
+    # whose ranks and traced surface both give that genus
+    sums = [connected_sums(*blocks) for blocks in ((1, 1, 3), (2, 1, 2), (2, 1, 3))]
+    for g in random_corpus + seeded_covers((4, 5, 6, 7)) + sums:
+        pipe = build_pipeline(g)
+        first = search_genus(pipe)
+        traced = traced_genera(g)
+        assert first.min_genus == min_genus_of_pipeline(pipe).min_genus == traced.min()
+        assert rank_pair(pipe.matrix, first.witness) == first.ranks
+        assert sum(first.ranks) == 2 * first.min_genus
+        assert traced[first.witness.code ^ coloring_flip(pipe)] == first.min_genus
 
 
 def test_min_genus_thread_invariant():
