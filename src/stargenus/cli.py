@@ -197,10 +197,12 @@ def cmd_oracle(args) -> int:
 
 def cmd_check(args) -> int:
     pipe = build_pipeline(_load_graph(args.graph))
+    # the oracle first: it refuses a graph over the cap, and the search,
+    # which has no cap of its own, must not run on such a graph
+    traced = traced_genera(pipe.graph, cap=_resolve_cap(args))
     # pass 1 of the search alone: check prints no witness, so it needs no
     # least one; the leaf pass 1 stopped at must trace to the same genus
     result = search_genus(pipe)
-    traced = traced_genera(pipe.graph, cap=_resolve_cap(args))
     flip = coloring_flip(pipe)
     oracle_genus = int(traced.min())
     agree = result.min_genus == oracle_genus == int(traced[result.witness.code ^ flip])

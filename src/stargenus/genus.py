@@ -279,24 +279,23 @@ def _mask(chords: list[int]) -> int:
     return mask
 
 
-def _lookahead(up_w: int, up_b: int, mask_w: list[int], mask_b: list[int],
-               start: int, cap: int) -> int:
+def _lookahead(up_w: int, up_b: int, rest: list[tuple[int, int]], cap: int) -> int:
     """How much more than a node's bound every leaf below it has, capped at
     `cap` (scanning stops once the cap is reached).
 
-    Vertex `start` onwards are unplaced; W sends mask_w's chords to white
-    and mask_b's to black, B the other way round. An option raises a side
-    when it sends one of that side's raisers (`SymplecticBasis.raisers`)
-    there, and since ranks only grow, a raised side adds 1 to the genus of
-    every leaf below. So the extra is 0 when every vertex has an option
-    that raises neither side; else 1 when every vertex has an option that
-    raises at most white, or every vertex one that raises at most black;
-    else 2.
+    `rest` holds the unplaced vertices as (mask_w, mask_b): W sends mask_w's
+    chords to white and mask_b's to black, B the other way round. An option
+    raises a side when it sends one of that side's raisers
+    (`SymplecticBasis.raisers`) there, and since ranks only grow, a raised
+    side adds 1 to the genus of every leaf below. So the extra is 0 when
+    every vertex has an option that raises neither side; else 1 when every
+    vertex has an option that raises at most white, or every vertex one that
+    raises at most black; else 2.
     """
     if not up_w | up_b:
         return 0
     stuck = forced_w = forced_b = False
-    for mw, mb in zip(mask_w[start:], mask_b[start:]):
+    for mw, mb in rest:
         if (mw & up_w or mb & up_b) and (mb & up_w or mw & up_b):
             if cap == 1:
                 return 1
@@ -325,8 +324,10 @@ def _search(rows: tuple[int, ...], chords_w: list[list[int]], chords_b: list[lis
     n = len(order)
     to_w = [chords_w[k] for k in order]
     to_b = [chords_b[k] for k in order]
-    mask_w = [_mask(chords) for chords in to_w]
-    mask_b = [_mask(chords) for chords in to_b]
+    # suffix[k]: (mask_w, mask_b) of the vertices from depth k on, the
+    # unplaced ones `_lookahead` reads below a node at depth k - 1
+    masks = [(_mask(w), _mask(b)) for w, b in zip(to_w, to_b)]
+    suffix = [masks[k:] for k in range(n + 1)]
     found = None
     empty = SymplecticBasis(rows)
     # (depth, code with that vertex's bit last, white basis, black basis,
@@ -351,7 +352,7 @@ def _search(rows: tuple[int, ...], chords_w: list[list[int]], chords_b: list[lis
             if best <= floor:
                 break
         elif bound + 2 < best or bound + _lookahead(
-                white.raisers, black.raisers, mask_w, mask_b, k + 1, best - bound) < best:
+                white.raisers, black.raisers, suffix[k + 1], best - bound) < best:
             stack.append((k + 1, code << 1 | 1, white, black, bound))
             stack.append((k + 1, code << 1, white, black, bound))
     if found is None:

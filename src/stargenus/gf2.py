@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -110,34 +111,33 @@ class SymplecticBasis:
     image of a, and that is all an insertion reads. Inserting e_i projects
     it off every pair, then pairs it with the first radical vector it meets,
     so the rank grows by 0 or 2 in O(m) word operations. Instances are
-    immutable: `add` returns a new basis, so a search can branch freely.
+    immutable: `add` returns a new basis (or the same one, when the
+    insertion changes nothing), so a search can branch freely.
+
+    `rank` and `raisers` are plain fields, set when a basis is built and
+    kept by `add`, so a search reads them at no cost. `rank` is twice the
+    number of pairs. `raisers` is the bitmask of the indices whose
+    insertion raises the rank: an inserted e_i pairs up, raising the rank
+    by 2, exactly when B(e_i, r) = 1 for some radical vector r, that is
+    when bit i of r's image is set; so it is the OR of the radical images,
+    and bit i (for i not yet inserted) is set exactly when
+    `add(i).rank == rank + 2`. A new radical vector extends it by its
+    image; a pairing rewrites the radical, and only then is it recomputed.
     """
 
-    __slots__ = ("rows", "pairs", "radical")
+    __slots__ = ("rows", "pairs", "radical", "rank", "raisers")
 
     def __init__(self, rows: tuple[int, ...], pairs: tuple[tuple[int, int], ...] = (),
-                 radical: tuple[int, ...] = ()):
+                 radical: tuple[int, ...] = (), raisers: Optional[int] = None):
         self.rows = rows
         self.pairs = pairs
         self.radical = radical
-
-    @property
-    def rank(self) -> int:
-        return 2 * len(self.pairs)
-
-    @property
-    def raisers(self) -> int:
-        """The indices whose insertion raises the rank, as a bitmask.
-
-        An inserted e_i pairs up, raising the rank by 2, exactly when
-        B(e_i, r) = 1 for some radical vector r, that is when bit i of r's
-        image is set; so bit i (for i not yet inserted) is set exactly when
-        `add(i).rank == rank + 2`.
-        """
-        mask = 0
-        for r in self.radical:
-            mask |= r
-        return mask
+        self.rank = 2 * len(pairs)
+        if raisers is None:
+            raisers = 0
+            for r in radical:
+                raisers |= r
+        self.raisers = raisers
 
     def add(self, i: int) -> SymplecticBasis:
         """The basis after inserting index i (not inserted before)."""
@@ -147,14 +147,18 @@ class SymplecticBasis:
                 x ^= u
             if u >> i & 1:
                 x ^= v
-        radical = self.radical
-        for k, r in enumerate(radical):
-            if r >> i & 1:
-                rest = tuple(s ^ r if s >> i & 1 else s for s in radical[k + 1:])
-                return SymplecticBasis(self.rows, self.pairs + ((r, x),),
-                                       radical[:k] + rest)
-        # a zero image pairs with nothing, so it need not be kept
-        return SymplecticBasis(self.rows, self.pairs, radical + (x,) if x else radical)
+        if self.raisers >> i & 1:
+            radical = self.radical
+            for k, r in enumerate(radical):
+                if r >> i & 1:
+                    # from a list, which builds faster than a generator
+                    rest = tuple([s ^ r if s >> i & 1 else s for s in radical[k + 1:]])
+                    return SymplecticBasis(self.rows, self.pairs + ((r, x),),
+                                           radical[:k] + rest)
+        if not x:
+            # a zero image pairs with nothing and need not be kept
+            return self
+        return SymplecticBasis(self.rows, self.pairs, self.radical + (x,), self.raisers | x)
 
     def residual(self, live: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """A hashable key for what the rank gains from inserting any subset

@@ -281,6 +281,21 @@ def test_cap_below_zero_rejected(capsys, stg, monkeypatch, cmd):
     assert err == "refused: 2 vertices exceeds the enumeration cap 0\n"
 
 
+def test_check_refuses_an_over_cap_graph_before_it_searches(capsys, stg, connected_sums,
+                                                             monkeypatch):
+    # 60 vertices: the search alone runs far past the guard on this sum
+    path = stg("s", connected_sums(3, 2, 6))
+    refused = "refused: 60 vertices exceeds the enumeration cap 20\n"
+    assert run_within(10, capsys, "check", path) == (2, "", refused)
+
+    def refuse(pipe):
+        raise AssertionError("check searched a graph over the cap")
+
+    monkeypatch.setattr(cli, "search_genus", refuse)
+    for argv in ([], ["--json"], ["--all-partitions"]):
+        assert run_within(10, capsys, "check", path, *argv) == (2, "", refused), argv
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
 def test_threads_below_one_rejected(capsys, stg, value):
     path = stg("h", ghopf())

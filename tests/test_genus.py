@@ -171,7 +171,7 @@ def test_lookahead_is_the_least_extra_over_all_placements():
                     for placement in itertools.product(*[[(mw, mb), (mb, mw)]
                                                          for mw, mb in rest]))
         for cap in (1, 2, 3):
-            assert _lookahead(up_w, up_b, mask_w, mask_b, start, cap) == min(extra, cap)
+            assert _lookahead(up_w, up_b, rest, cap) == min(extra, cap)
 
 
 def test_genus_is_the_same_in_any_search_order(random_corpus, seeded_covers):

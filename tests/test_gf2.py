@@ -119,6 +119,31 @@ def test_symplectic_raisers_predict_rank_growth():
                 assert bool(basis.raisers >> i & 1) == (basis.add(i).rank == basis.rank + 2)
 
 
+def test_symplectic_fields_track_the_pairs_and_radical():
+    # rank and raisers are fields that add keeps, not recomputed on read;
+    # an insertion whose image projects to zero off the pairs changes nothing
+    unchanged = 0
+    for m, order, bases in symplectic_insertions():
+        for k, basis in enumerate(bases):
+            raisers = 0
+            for r in basis.radical:
+                raisers |= r
+            assert basis.raisers == raisers
+            assert basis.rank == 2 * len(basis.pairs)
+            if k == len(order):
+                continue
+            i, grown = order[k], bases[k + 1]
+            x = m.rows[i]
+            for u, v in basis.pairs:
+                x ^= (u if v >> i & 1 else 0) ^ (v if u >> i & 1 else 0)
+            if x == 0:
+                unchanged += 1
+                live = sum(1 << j for j in order[k + 1:])
+                assert (grown.pairs, grown.radical) == (basis.pairs, basis.radical)
+                assert grown.residual(live) == basis.residual(live)
+    assert unchanged > 50
+
+
 def _subsets(items):
     return [[x for k, x in enumerate(items) if code >> k & 1] for code in range(1 << len(items))]
 
