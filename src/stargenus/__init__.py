@@ -15,7 +15,21 @@ from .genus import (GenusResult, PermissiblePartition, Pipeline, PlanarityResult
                     build_pipeline, enumerate_permissible_partitions,
                     genus_of_partition, is_planar, min_genus, rank_pair)
 from .gf2 import BitMatrix, corank, principal_submatrix, rank
-from .oracle import (AtomColoring, FaceCount, coloring_of_partition,
-                     min_genus_bruteforce, oracle_min_genus, trace_faces)
 
 __version__ = "0.1.0"
+
+# The oracle needs numpy, which the pipeline does not, so its exports are
+# imported on first use (PEP 562) and a plain `import stargenus` stays light.
+_ORACLE_EXPORTS = frozenset({"AtomColoring", "FaceCount", "coloring_of_partition",
+                             "min_genus_bruteforce", "oracle_min_genus", "trace_faces"})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_EXPORTS:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ORACLE_EXPORTS)

@@ -15,17 +15,17 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import fixtures
 from .chords import Chord, Triad
 from .core_graph import (StarGraph, double_cover, parse_stg, require_source_sink,
                          serialize_stg, validate)
-from .errors import (InvalidGraphError, NotSourceSinkError, OracleCapExceeded,
-                     StgParseError)
+from .errors import (DEFAULT_CAP, InvalidGraphError, NotSourceSinkError,
+                     OracleCapExceeded, StgParseError)
 from .genus import (build_pipeline, min_genus_of_pipeline, partition_genera,
                     planarity_of_pipeline, search_genus)
-from .oracle import DEFAULT_CAP, coloring_flip, min_genus_bruteforce, traced_genera
+
+# numpy and the oracle, which needs it, are imported only by the commands
+# that trace faces (`oracle`, `check`), so the pipeline commands start
+# without them.
 
 
 def _load_graph(path: str) -> StarGraph:
@@ -177,6 +177,8 @@ def cmd_planar(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import min_genus_bruteforce
+
     g = _load_graph(args.graph)
     genus, coloring = min_genus_bruteforce(g, cap=_resolve_cap(args))
     if args.json:
@@ -196,6 +198,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
+    import numpy as np
+
+    from .oracle import coloring_flip, traced_genera
+
     pipe = build_pipeline(_load_graph(args.graph))
     # the oracle first: it refuses a graph over the cap, and the search,
     # which has no cap of its own, must not run on such a graph
@@ -232,6 +238,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import fixtures
+
     g = fixtures.by_name(args.name)
     text = serialize_stg(g)
     if args.output:
@@ -263,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         if cap:
             p.add_argument("--cap", type=_int_at_least(0), default=None,
                            help="vertex cap for brute-force enumeration "
-                                "(default: env STARGENUS_ORACLE_CAP or 20)")
+                                f"(default: env STARGENUS_ORACLE_CAP or {DEFAULT_CAP})")
         if output:
             p.add_argument("-o", "--output", default=None, help="write to file")
         p.set_defaults(func=func)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+# The vertex cap of the brute-force oracle, which traces 2^n colourings.
+DEFAULT_CAP = 20
+
 
 class StarGenusError(Exception):
     """Base class for all errors raised by this package."""

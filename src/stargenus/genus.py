@@ -36,9 +36,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .chords import (ChordDiagram, StarChordDiagram, build_star_chord_diagram,
                      expand, intersection_matrix, linked_pairs)
@@ -48,6 +46,9 @@ from .core_graph import Orientation, StarGraph, require_source_sink
 from .errors import InvariantViolation
 from .gf2 import BitMatrix, SymplecticBasis, masked_rank
 from .union_find import ParityUnionFind
+
+if TYPE_CHECKING:  # numpy is imported where it is used, by partition_genera alone
+    import numpy as np
 
 SIDE_WHITE = "W"
 SIDE_BLACK = "B"
@@ -201,6 +202,8 @@ def partition_genera(pipe: Pipeline) -> np.ndarray:
     codes stay in ascending vertex order. The ranks are twice a pair count,
     so the sums are even.
     """
+    import numpy as np
+
     chords_w, chords_b = _side_chords(pipe.diagram, sorted(pipe.graph.vertices))
     live = (1 << len(pipe.matrix.rows)) - 1  # the chords of the vertices not yet placed
     states = [SymplecticBasis(pipe.matrix.rows)]

@@ -30,10 +30,9 @@ from typing import Optional
 import numpy as np
 
 from .core_graph import HalfEdgeRef, Orientation, StarGraph, require_source_sink
-from .errors import InvariantViolation, OracleCapExceeded
+from .errors import DEFAULT_CAP, InvariantViolation, OracleCapExceeded
 from .genus import Pipeline, PermissiblePartition
 
-DEFAULT_CAP = 20
 # Colourings per block, a power of two. The low log2(BLOCK) vertices are
 # expanded once into a BLOCK-row table that every block of codes starts from;
 # a block's two segment tables take at most BLOCK x 2m bytes and shrink as
@@ -177,13 +176,23 @@ def traced_genera(g: StarGraph, cap: Optional[int] = DEFAULT_CAP) -> np.ndarray:
     Bit k of a code (big-endian over ascending vertex ids) is the colour bit
     of the k-th vertex. Refuses graphs above `cap` vertices (None disables
     the cap). Raises InvariantViolation when a colouring's Euler
-    characteristic is odd or its genus negative.
+    characteristic is odd or its genus negative. Also refuses, whatever the
+    cap, a graph whose codes do not fit in int64 (n > 62) or whose 2^n
+    genera cannot be allocated.
     """
     orientation = require_source_sink(g)
-    if cap is not None and g.n_vertices > cap:
-        raise OracleCapExceeded(f"{g.n_vertices} vertices exceeds the enumeration cap {cap}")
+    n = g.n_vertices
+    if cap is not None and n > cap:
+        raise OracleCapExceeded(f"{n} vertices exceeds the enumeration cap {cap}")
+    if n > 62:
+        raise OracleCapExceeded(f"{n} vertices exceeds 62, the most whose codes fit in int64")
+    try:
+        genera = np.empty(1 << n, dtype=np.int8)  # genus <= (m - n) / 2 <= n
+    except MemoryError:
+        raise OracleCapExceeded(f"{n} vertices: no memory for the genera of "
+                                f"2^{n} colourings") from None
     t = _successor_tables(g, orientation)
-    n, m = len(t.vertices), len(t.head)
+    m = len(t.head)
     succ = [t.white[c] + tuple(m + e for e in t.black[c]) for c in (0, 1)]
     owner = t.head + t.tail  # white slots [0, m) at heads, black slots [m, 2m) at tails
     low = min(n, BLOCK.bit_length() - 1)
@@ -233,8 +242,6 @@ def traced_genera(g: StarGraph, cap: Optional[int] = DEFAULT_CAP) -> np.ndarray:
     # blocks that starts from the low table, so blocks with a common high
     # prefix share its links.
     block = len(faces)
-    # genus <= (m - n) / 2 <= n, and n < 63 for codes to fit in int64
-    genera = np.empty(1 << n, dtype=np.int8)
 
     def descend(k: int, prefix: int, start: np.ndarray, end: np.ndarray,
                 faces: np.ndarray, width: int) -> None:

@@ -296,6 +296,18 @@ def test_check_refuses_an_over_cap_graph_before_it_searches(capsys, stg, connect
         assert run_within(10, capsys, "check", path, *argv) == (2, "", refused), argv
 
 
+def test_a_cap_past_the_oracles_memory_refuses(capsys, stg, connected_sums, monkeypatch):
+    # the genera of 2^60 colourings take an exbibyte, so a cap of 100 from
+    # the flag or the environment still refuses the 60-vertex sum
+    path = stg("s", connected_sums(3, 2, 6))
+    refused = "refused: 60 vertices: no memory for the genera of 2^60 colourings\n"
+    for cmd in ("oracle", "check"):
+        assert run_within(10, capsys, cmd, path, "--cap", "100") == (2, "", refused), cmd
+    monkeypatch.setenv("STARGENUS_ORACLE_CAP", "100")
+    for cmd in ("oracle", "check"):
+        assert run_within(10, capsys, cmd, path) == (2, "", refused), cmd
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
 def test_threads_below_one_rejected(capsys, stg, value):
     path = stg("h", ghopf())

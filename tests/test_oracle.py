@@ -82,7 +82,7 @@ def test_bruteforce_witness_is_least():
     assert coloring.bits == {0: 0, 1: 0}
 
 
-def test_bruteforce_cap():
+def test_bruteforce_cap(connected_sums):
     g = chain(21)
     with pytest.raises(OracleCapExceeded):
         min_genus_bruteforce(g)  # default cap is 20
@@ -90,6 +90,11 @@ def test_bruteforce_cap():
     assert genus == 0
     with pytest.raises(OracleCapExceeded):
         min_genus_bruteforce(chain(3), cap=2)
+    # without a cap, 2^60 genera cannot be allocated and 2^70 codes do not
+    # fit in int64: both are refused before any tracing
+    for blocks, reason in ((6, "no memory"), (7, "int64")):
+        with pytest.raises(OracleCapExceeded, match=reason):
+            traced_genera(connected_sums(3, 2, blocks), cap=None)
 
 
 def test_bruteforce_rejects_unorientable():
@@ -202,6 +207,17 @@ def test_traced_genera_match_trace_faces(small_source_sink, random_corpus, seede
         for code in range(1 << n):
             bits = {v: (code >> (n - 1 - k)) & 1 for k, v in enumerate(verts)}
             assert genera[code] == _count_faces(tables, AtomColoring(bits)).genus
+
+
+def test_swapping_every_colour_keeps_the_traced_genus(small_source_sink, random_corpus,
+                                                      seeded_covers):
+    # swapping every angle colour swaps the white and the black faces, and
+    # code 2^n - 1 - c is c with every bit swapped
+    graphs = small_source_sink + random_corpus + seeded_covers((3, 4, 5, 6, 7))
+    assert max(g.n_vertices for g in graphs) == 14
+    for g in graphs:
+        genera = traced_genera(g)
+        assert genera.tolist() == genera[::-1].tolist()
 
 
 def test_traced_genera_working_set_is_bounded(seeded_covers):
