@@ -99,7 +99,7 @@ def classify_local(degree: int, transition: dict[int, int]) -> str:
     return INVALID
 
 
-def _walk_maps(g: StarGraph, orientation: Orientation):
+def _walk_maps(orientation: Orientation):
     """head ref per edge, arriving edge per (v, in_slot), departing edge per (v, out_slot)."""
     head_ref: dict[int, HalfEdgeRef] = {}
     arrive: dict[tuple[int, int], int] = {}
@@ -118,7 +118,7 @@ def _plus_one(g: StarGraph, arrive: dict[tuple[int, int], int]) -> dict[int, dic
 
 def initial_transition_system(g: StarGraph, orientation: Orientation) -> TransitionSystem:
     """The canonical starting point: in-slot i exits at slot (i + 1) mod d."""
-    return TransitionSystem(_plus_one(g, _walk_maps(g, orientation)[1]))
+    return TransitionSystem(_plus_one(g, _walk_maps(orientation)[1]))
 
 
 def _trace(head_ref: dict[int, HalfEdgeRef], depart: dict[tuple[int, int], int],
@@ -150,7 +150,7 @@ def cycles_of(g: StarGraph, orientation: Orientation,
     Deterministic: each cycle starts at its lowest edge id and cycles are
     listed by that id in ascending order.
     """
-    head_ref, _, depart = _walk_maps(g, orientation)
+    head_ref, _, depart = _walk_maps(orientation)
     return _trace(head_ref, depart, ts.transitions)
 
 
@@ -170,7 +170,7 @@ def find_rs_circuit(g: StarGraph, orientation: Orientation,
     The returned circuit starts at the lowest edge id. `stats`, when given,
     receives initial_cycles and merge_steps.
     """
-    head_ref, arrive, depart = _walk_maps(g, orientation)
+    head_ref, arrive, depart = _walk_maps(orientation)
     ts = _plus_one(g, arrive)
 
     initial = _trace(head_ref, depart, ts)
@@ -266,7 +266,7 @@ def find_rs_circuit(g: StarGraph, orientation: Orientation,
         visits=tuple(visits),
         positions={v: tuple(ks) for v, ks in sorted(positions.items())},
     )
-    return TransitionSystem({v: dict(t) for v, t in ts.items()}), circuit
+    return TransitionSystem(ts), circuit
 
 
 def classify_vertices(g: StarGraph, circuit: EulerCircuit) -> dict[int, VertexClass]:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 for clean negative answers (validation
 violations, no source-sink orientation, not planar, check disagreement),
-2 for input problems (unreadable or malformed files, invalid graphs fed to
-pipeline commands, unknown fixture names, oracle cap exceeded).
+2 for input problems (unreadable or malformed files, unwritable output
+paths, invalid graphs fed to pipeline commands, unknown fixture names,
+oracle cap exceeded).
 """
 
 from __future__ import annotations
@@ -28,8 +29,27 @@ from .genus import (build_pipeline, min_genus_of_pipeline, partition_genera,
 # without them.
 
 
+class _FileError(Exception):
+    """A file that could not be read or written; `main` prints it, exit 2."""
+
+
 def _load_graph(path: str) -> StarGraph:
-    return parse_stg(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError:
+        raise _FileError(f"cannot read {path}") from None
+    return parse_stg(text)
+
+
+def _write_output(path: str | None, text: str) -> None:
+    """Write `text` to the file at `path`, or to stdout when it is empty or None."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError:
+        raise _FileError(f"cannot write {path}") from None
 
 
 def _resolve_cap(args) -> int | None:
@@ -104,12 +124,7 @@ def cmd_orient(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    g = _load_graph(args.graph)
-    text = serialize_stg(double_cover(g))
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, serialize_stg(double_cover(_load_graph(args.graph))))
     return 0
 
 
@@ -204,8 +219,9 @@ def cmd_check(args) -> int:
 
     pipe = build_pipeline(_load_graph(args.graph))
     # the oracle first: it refuses a graph over the cap, and the search,
-    # which has no cap of its own, must not run on such a graph
-    traced = traced_genera(pipe.graph, cap=_resolve_cap(args))
+    # which has no cap of its own, must not run on such a graph. It traces
+    # the pipeline's orientation, the canonical one it would take itself.
+    traced = traced_genera(pipe.graph, pipe.orientation, cap=_resolve_cap(args))
     # pass 1 of the search alone: check prints no witness, so it needs no
     # least one; the leaf pass 1 stopped at must trace to the same genus
     result = search_genus(pipe)
@@ -240,12 +256,7 @@ def cmd_check(args) -> int:
 def cmd_gen(args) -> int:
     from . import fixtures
 
-    g = fixtures.by_name(args.name)
-    text = serialize_stg(g)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, serialize_stg(fixtures.by_name(args.name)))
     return 0
 
 
@@ -319,8 +330,8 @@ def main(argv=None) -> int:
     except OracleCapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
+    except _FileError as exc:
+        print(exc, file=sys.stderr)
         return 2
     except ValueError as exc:
         print(str(exc), file=sys.stderr)

@@ -6,7 +6,10 @@ forward through white angles, black faces backward through black angles,
 and the genus falls out of the Euler characteristic. Minimizing over all
 2^n colourings is an independent check on the rank-based computation: it
 shares no code with the chord diagrams, the GF(2) matrices or the rank
-search, and it is capped.
+search, and it is capped. The oracle traces the orientation it is given,
+which is always the canonical one, `core_graph.require_source_sink(g)`:
+`min_genus_bruteforce` computes it, and `check` hands over the pipeline's
+copy, which `build_pipeline` takes from the same call.
 
 The face-successor rule is written once, in `_successor_tables`, which
 gives for every edge its next edge on the white and on the black face for
@@ -25,13 +28,15 @@ the table keeps only the slots of the vertices not yet done.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .core_graph import HalfEdgeRef, Orientation, StarGraph, require_source_sink
 from .errors import DEFAULT_CAP, InvariantViolation, OracleCapExceeded
-from .genus import Pipeline, PermissiblePartition
+
+if TYPE_CHECKING:  # annotations only: the oracle runs on core_graph alone
+    from .genus import Pipeline, PermissiblePartition
 
 # Colourings per block, a power of two. The low log2(BLOCK) vertices are
 # expanded once into a BLOCK-row table that every block of codes starts from;
@@ -170,17 +175,18 @@ def _genera_of_faces(faces: np.ndarray, n: int, m: int) -> np.ndarray:
     return genus
 
 
-def traced_genera(g: StarGraph, cap: Optional[int] = DEFAULT_CAP) -> np.ndarray:
-    """The traced genus of every colouring, indexed by its code.
+def traced_genera(g: StarGraph, orientation: Orientation,
+                  cap: Optional[int] = DEFAULT_CAP) -> np.ndarray:
+    """The traced genus of every colouring of `g` under `orientation`, a
+    source-sink orientation of the valid graph `g`, indexed by its code.
 
     Bit k of a code (big-endian over ascending vertex ids) is the colour bit
     of the k-th vertex. Refuses graphs above `cap` vertices (None disables
     the cap). Raises InvariantViolation when a colouring's Euler
     characteristic is odd or its genus negative. Also refuses, whatever the
     cap, a graph whose codes do not fit in int64 (n > 62) or whose 2^n
-    genera cannot be allocated.
+    genera cannot be allocated. Every refusal comes before any tracing.
     """
-    orientation = require_source_sink(g)
     n = g.n_vertices
     if cap is not None and n > cap:
         raise OracleCapExceeded(f"{n} vertices exceeds the enumeration cap {cap}")
@@ -268,11 +274,13 @@ def min_genus_bruteforce(g: StarGraph, cap: Optional[int] = DEFAULT_CAP,
                          threads: Optional[int] = None) -> tuple[int, AtomColoring]:
     """Minimum genus over all 2^n colourings, with the least witness.
 
-    Refuses graphs above `cap` vertices (None disables the cap). Ties break
+    Validates `g` and takes its canonical source-sink orientation first, so
+    an invalid or unorientable graph raises as such whatever the cap. Then
+    refuses graphs above `cap` vertices (None disables the cap). Ties break
     to the lexicographically least bit vector over ascending vertex ids.
     `threads` is accepted for compatibility and ignored: the scan is serial.
     """
-    genera = traced_genera(g, cap)
+    genera = traced_genera(g, require_source_sink(g), cap)
     code = int(np.argmin(genera))  # the first, hence least, code at the minimum
     return int(genera[code]), _coloring_of_code(sorted(g.vertices), code)
 

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from stargenus import cli
+from stargenus import cli, core_graph
 from stargenus.cli import build_parser, main
 from stargenus.core_graph import parse_stg, serialize_stg, validate
 from stargenus.fixtures import chain, ghopf, gt3c
@@ -98,12 +98,32 @@ def test_missing_file_exit_2(capsys):
     assert "cannot read" in err
 
 
+def test_unreadable_input_exit_2(capsys, tmp_path):
+    # a directory is no file: any read failure is an input problem, not a crash
+    for cmd in ("validate", "genus", "check"):
+        assert run(capsys, cmd, str(tmp_path)) == (2, "", f"cannot read {tmp_path}\n"), cmd
+
+
+def test_unwritable_output_exit_2(capsys, stg, tmp_path):
+    source = stg("h", ghopf())
+    for target in (tmp_path, tmp_path / "no" / "such.stg"):
+        for argv in (["gen", "g8"], ["cover", source]):
+            assert run(capsys, *argv, "-o", str(target)) == \
+                (2, "", f"cannot write {target}\n"), (argv, target)
+    assert not (tmp_path / "no").exists()
+
+
 def test_invalid_graph_into_pipeline_exit_2(capsys, stg):
     path = stg("bad", "stargraph 1 1\nvertex 0 4\nedge 0 0.0 0.1\n")
     for cmd in ("orient", "circuit", "diagram", "genus", "planar", "oracle", "check"):
         code, _, err = run(capsys, cmd, path)
         assert code == 2, cmd
         assert "invalid graph" in err
+    # validation comes before the cap, which at 0 refuses every graph
+    for cmd in ("oracle", "check"):
+        code, out, err = run(capsys, cmd, path, "--cap", "0")
+        assert (code, out) == (2, ""), cmd
+        assert err.startswith("invalid graph:\n"), cmd
 
 
 # --- orient and cover ------------------------------------------------------
@@ -126,6 +146,10 @@ def test_not_source_sink(capsys, stg, command):
     if command not in ("circuit", "diagram"):  # the commands without --json
         code, out, _ = run(capsys, command, path, "--json")
         assert (code, out) == (1, '{"source_sink": false}\n')
+    if command in ("oracle", "check"):  # orienting comes before the cap, which refuses all at 0
+        assert run(capsys, command, path, "--cap", "0") == (1, "not source-sink\n", "")
+        assert run(capsys, command, path, "--cap", "0", "--json") == \
+            (1, '{"source_sink": false}\n', "")
 
 
 def test_cover_round_trips(capsys, stg, tmp_path):
@@ -279,6 +303,21 @@ def test_cap_below_zero_rejected(capsys, stg, monkeypatch, cmd):
     code, _, err = run(capsys, cmd, path, "--cap", "0")
     assert code == 2
     assert err == "refused: 2 vertices exceeds the enumeration cap 0\n"
+
+
+def test_check_validates_and_orients_once(capsys, stg, seeded_covers, monkeypatch):
+    # the oracle traces the orientation the pipeline took
+    path = stg("c", seeded_covers((4,))[0])
+    calls = []
+    for name in ("validate", "find_source_sink_orientation"):
+        def counted(g, name=name, original=getattr(core_graph, name)):
+            calls.append(name)
+            return original(g)
+        monkeypatch.setattr(core_graph, name, counted)
+    for argv in ([], ["--json"], ["--all-partitions"]):
+        calls.clear()
+        assert run(capsys, "check", path, *argv)[0] == 0, argv
+        assert sorted(calls) == ["find_source_sink_orientation", "validate"], argv
 
 
 def test_check_refuses_an_over_cap_graph_before_it_searches(capsys, stg, connected_sums,

@@ -190,7 +190,8 @@ def test_genus_is_the_same_in_any_search_order(random_corpus, seeded_covers):
 
 def test_min_genus_matches_oracle_on_covers(cover_pipes):
     for pipe in cover_pipes:
-        assert min_genus_of_pipeline(pipe).min_genus == traced_genera(pipe.graph).min()
+        assert min_genus_of_pipeline(pipe).min_genus == \
+            traced_genera(pipe.graph, pipe.orientation).min()
 
 
 def test_witness_is_least_code_on_covers(cover_pipes):
@@ -226,7 +227,7 @@ def test_search_genus_finds_the_genus_and_a_leaf_of_it(random_corpus, seeded_cov
     for g in random_corpus + seeded_covers((4, 5, 6, 7)) + sums:
         pipe = build_pipeline(g)
         first = search_genus(pipe)
-        traced = traced_genera(g)
+        traced = traced_genera(g, pipe.orientation)
         assert first.min_genus == min_genus_of_pipeline(pipe).min_genus == traced.min()
         assert rank_pair(pipe.matrix, first.witness) == first.ranks
         assert sum(first.ranks) == 2 * first.min_genus

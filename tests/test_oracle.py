@@ -15,7 +15,7 @@ import pytest
 
 from stargenus import cli
 from stargenus.core_graph import (Edge, HalfEdgeRef, StarGraph, find_source_sink_orientation,
-                                  serialize_stg)
+                                  require_source_sink, serialize_stg)
 from stargenus.errors import NotSourceSinkError, OracleCapExceeded
 from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx
 from stargenus.genus import (build_pipeline, enumerate_permissible_partitions,
@@ -93,8 +93,9 @@ def test_bruteforce_cap(connected_sums):
     # without a cap, 2^60 genera cannot be allocated and 2^70 codes do not
     # fit in int64: both are refused before any tracing
     for blocks, reason in ((6, "no memory"), (7, "int64")):
+        g = connected_sums(3, 2, blocks)
         with pytest.raises(OracleCapExceeded, match=reason):
-            traced_genera(connected_sums(3, 2, blocks), cap=None)
+            traced_genera(g, require_source_sink(g), cap=None)
 
 
 def test_bruteforce_rejects_unorientable():
@@ -162,13 +163,14 @@ def test_partition_genera_match_the_flat_scan_and_the_oracle(small_source_sink, 
                 for part in enumerate_permissible_partitions(pipe.diagram)]
         assert genera.tolist() == flat
         codes = np.arange(1 << g.n_vertices)
-        assert genera.tolist() == traced_genera(g)[codes ^ coloring_flip(pipe)].tolist()
+        assert genera.tolist() == \
+            traced_genera(g, pipe.orientation)[codes ^ coloring_flip(pipe)].tolist()
     g = seeded_covers((7,), seed=100)[0]
     assert g.n_vertices == 14
     pipe = build_pipeline(g)
     codes = np.arange(1 << g.n_vertices)
     assert partition_genera(pipe).tolist() == \
-        traced_genera(g)[codes ^ coloring_flip(pipe)].tolist()
+        traced_genera(g, pipe.orientation)[codes ^ coloring_flip(pipe)].tolist()
 
 
 def test_partition_genera_working_set_is_bounded(seeded_covers):
@@ -186,6 +188,13 @@ def test_partition_genera_working_set_is_bounded(seeded_covers):
     assert peak < 8 * 10 ** 6
 
 
+def test_the_pipeline_orientation_is_the_canonical_one(small_source_sink, random_corpus,
+                                                      seeded_covers):
+    # what makes it safe for `check` to hand the oracle the pipeline's copy
+    for g in small_source_sink + random_corpus + seeded_covers((3, 4, 5, 6, 7)):
+        assert build_pipeline(g).orientation == require_source_sink(g)
+
+
 def test_min_genus_agrees_with_bruteforce(random_corpus):
     for g in random_corpus[:80]:
         assert min_genus_of_pipeline(build_pipeline(g)).min_genus == \
@@ -199,10 +208,11 @@ def test_traced_genera_match_trace_faces(small_source_sink, random_corpus, seede
     assert 1 << many_blocks.n_vertices >= 4 * BLOCK
     for g in (small_source_sink + random_corpus[:40] + seeded_covers((3, 4, 5, 6))
               + [chain(12), many_blocks]):
-        tables = _successor_tables(g, find_source_sink_orientation(g))
+        orientation = find_source_sink_orientation(g)
+        tables = _successor_tables(g, orientation)
         n = g.n_vertices
         verts = sorted(g.vertices)
-        genera = traced_genera(g, cap=None)
+        genera = traced_genera(g, orientation, cap=None)
         assert len(genera) == 1 << n
         for code in range(1 << n):
             bits = {v: (code >> (n - 1 - k)) & 1 for k, v in enumerate(verts)}
@@ -216,7 +226,7 @@ def test_swapping_every_colour_keeps_the_traced_genus(small_source_sink, random_
     graphs = small_source_sink + random_corpus + seeded_covers((3, 4, 5, 6, 7))
     assert max(g.n_vertices for g in graphs) == 14
     for g in graphs:
-        genera = traced_genera(g)
+        genera = traced_genera(g, require_source_sink(g))
         assert genera.tolist() == genera[::-1].tolist()
 
 
@@ -229,7 +239,7 @@ def test_traced_genera_working_set_is_bounded(seeded_covers):
     assert g.n_vertices == 18
     tracemalloc.start()
     try:
-        traced_genera(g)
+        traced_genera(g, require_source_sink(g))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

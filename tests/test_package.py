@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,28 @@ def test_the_oracle_names_are_the_oracles_own():
     for name in ORACLE_NAMES:
         assert getattr(stargenus, name) is getattr(oracle, name)
     assert oracle.DEFAULT_CAP == 20
+
+
+def test_the_oracle_runs_on_core_graph_and_errors_alone():
+    # its independence from the chord pipeline: the oracle's run-time
+    # imports from the package are core_graph and errors, and the pipeline
+    # types it names in annotations come in under TYPE_CHECKING only
+    def run_time(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+                continue
+            yield child
+            yield from run_time(child)
+
+    imported = set()
+    for node in run_time(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.add(node.module)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module] if isinstance(node, ast.ImportFrom) \
+                else [alias.name for alias in node.names]
+            assert not any(m.split(".")[0] == "stargenus" for m in modules), modules
+    assert imported == {"core_graph", "errors"}
 
 
 def test_an_unknown_name_raises_attribute_error():
