@@ -18,7 +18,7 @@ from typing import Optional
 
 from .core_graph import HalfEdgeRef, Orientation, StarGraph
 from .errors import InvariantViolation
-from .union_find import UnionFind
+from .union_find import ParityUnionFind
 
 ROTATING = "rotating"
 SPLITTING = "splitting"
@@ -177,7 +177,7 @@ def find_rs_circuit(g: StarGraph, orientation: Orientation,
     cycle_of = {e: c for c, walk in enumerate(initial) for e in walk}
     n_cycles = len(initial)
 
-    dsu = UnionFind(n_cycles)
+    dsu = ParityUnionFind(n_cycles)
     live = n_cycles
     merge_steps = 0
 
@@ -186,7 +186,7 @@ def find_rs_circuit(g: StarGraph, orientation: Orientation,
         ins = sorted(ts[v])
         outs = sorted(set(ts[v].values()))
         while True:
-            root_of = {s: dsu.find(cycle_of[arrive[(v, s)]]) for s in ins}
+            root_of = {s: dsu.find(cycle_of[arrive[(v, s)]])[0] for s in ins}
             current = len(set(root_of.values()))
             if current < 2:
                 break
@@ -228,7 +228,7 @@ def find_rs_circuit(g: StarGraph, orientation: Orientation,
                     ts[v] = cand
                     for cyc in local_cycles:
                         for s in cyc[1:]:
-                            dsu.union(root_of[cyc[0]], root_of[s])
+                            dsu.union(root_of[cyc[0]], root_of[s], 0)
                     live -= current - len(local_cycles)
                     merge_steps += 1
                     applied = True

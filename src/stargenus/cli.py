@@ -36,7 +36,7 @@ class _FileError(Exception):
 def _load_graph(path: str) -> StarGraph:
     try:
         text = Path(path).read_text()
-    except OSError:
+    except (OSError, UnicodeDecodeError):  # the latter is a ValueError
         raise _FileError(f"cannot read {path}") from None
     return parse_stg(text)
 
@@ -304,11 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
                   json_flag=True, threads=True, cap=True)
     p_check.add_argument("--all-partitions", action="store_true",
                          help="also trace every partition's surface")
-    p_gen = sub.add_parser("gen", help="emit a named fixture as .stg")
+    p_gen = add("gen", cmd_gen, "emit a named fixture as .stg", graph=False, output=True)
     p_gen.add_argument("name", help="g8, gx, ghopf, gt3f, gt3c, chain(k) "
                                     "or random(seed,n4,n6)")
-    p_gen.add_argument("-o", "--output", default=None, help="write to file")
-    p_gen.set_defaults(func=cmd_gen)
 
     return parser
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import InvalidGraphError, NotSourceSinkError, StgParseError
-from .union_find import ParityUnionFind, UnionFind
+from .union_find import ParityUnionFind
 
 SUPPORTED_DEGREES = (4, 6)
 
@@ -143,11 +143,11 @@ def validate(g: StarGraph) -> list[str]:
                 violations.append(f"slot {v}.{s} never covered")
 
     if refs_ok and g.vertices:
-        uf = UnionFind(len(g.vertices))
+        uf = ParityUnionFind(len(g.vertices))
         index = {v: i for i, v in enumerate(sorted(g.vertices))}
         for e in g.edges:
-            uf.union(index[e.a.vertex], index[e.b.vertex])
-        roots = {uf.find(i) for i in index.values()}
+            uf.union(index[e.a.vertex], index[e.b.vertex], 0)
+        roots = {uf.find(i)[0] for i in index.values()}
         if len(roots) > 1:
             violations.append("disconnected")
 

@@ -19,10 +19,12 @@ finds the genus g with a leaf of genus g; `search_genus` runs it alone, for
 callers that need no least witness. Pass 2 takes the vertices in ascending
 order, where leaves come in ascending code order, and stops at the first
 leaf of genus g, the lexicographically least witness that
-`min_genus_of_pipeline` reports. `partition_genera` gives the genus of
-every partition from a layered dynamic programme over the same vertices,
-which merges the partial partitions whose bases leave the same residual
-form on the chords still to come.
+`min_genus_of_pipeline` reports. Both entry points go through one driver,
+`_solve`, which runs the passes and checks the ranks at the leaf of the
+last one with `rank_pair`. `partition_genera` gives the genus of every
+partition from a layered dynamic programme over the same vertices, which
+merges the partial partitions whose bases leave the same residual form on
+the chords still to come.
 
 Planarity (genus 0) does not need the search: it reduces to 2-colouring the
 chords so that linked chords and double-chord halves disagree while triad
@@ -368,39 +370,34 @@ def _search(rows: tuple[int, ...], chords_w: list[list[int]], chords_b: list[lis
     return genus, ascending, rw, rb
 
 
-def _pass_one(rows: tuple[int, ...], chords_w: list[list[int]], chords_b: list[list[int]],
-              linked) -> tuple[tuple[int, int, int, int], bool]:
-    """Pass 1: the genus g and a leaf of genus g, from `_search` in
-    coupling-first order (`_coupling_order`), so the ranks, and with them
-    the bounds, grow early and good leaves come soon; it stops at a genus-0
-    leaf. Returns the leaf as `_search` does, and whether it is already the
-    least code of genus g: it is when the coupling order is the ascending
-    one, since then pass 1 was pass 2."""
-    order = _coupling_order(chords_w, chords_b, linked)
+def _solve(pipe: Pipeline, least: bool) -> GenusResult:
+    """The search driver behind `search_genus` (`least` False) and
+    `min_genus_of_pipeline` (`least` True), each of which always passes the
+    same value.
+
+    Pass 1 runs `_search` in coupling-first order (`_coupling_order`), so
+    the ranks, and with them the bounds, grow early and good leaves come
+    soon; it finds the genus g and a leaf of genus g, stopping at a genus-0
+    leaf. When `least`, pass 2 runs `_search` in ascending order, where
+    leaves come in ascending code order, with `best` at g + 1: every cut
+    branch holds only leaves above g, so the first leaf it reaches is the
+    least code of genus g. Pass 2 is skipped when the coupling order is the
+    ascending one, since pass 1 was pass 2 then. The leaf of the last pass
+    is returned once `rank_pair` reproduces the search's ranks there; those
+    are twice a pair count, so an odd rank sum fails this check too.
+    """
+    vertices = sorted(pipe.graph.vertices)
+    chords_w, chords_b = _side_chords(pipe.diagram, vertices)
+    rows = pipe.matrix.rows
+    order = _coupling_order(chords_w, chords_b, pipe.linked)
     found = _search(rows, chords_w, chords_b, order, len(rows), 0)
     assert found is not None
-    return found, order == sorted(order)
-
-
-def _pass_two(rows: tuple[int, ...], chords_w: list[list[int]], chords_b: list[list[int]],
-              genus: int) -> tuple[int, int, int, int]:
-    """Pass 2: the least code of genus `genus`, by `_search` in ascending
-    order, where leaves come in ascending code order, with `best` at
-    genus + 1: every cut branch holds only leaves above the genus, so the
-    first leaf it reaches is the least."""
-    found = _search(rows, chords_w, chords_b, list(range(len(chords_w))), genus + 1, genus)
-    assert found is not None
-    return found
-
-
-def _checked(matrix: BitMatrix, vertices: list[int], chords_w: list[list[int]],
-             chords_b: list[list[int]], found: tuple[int, int, int, int]) -> GenusResult:
-    """The leaf `found` as a GenusResult, once `masked_rank` reproduces the
-    search's ranks there; those are twice a pair count, so an odd rank sum
-    fails this check too."""
+    if least and order != sorted(order):
+        found = _search(rows, chords_w, chords_b, sorted(order), found[0] + 1, found[0])
+        assert found is not None
     genus, code, rw, rb = found
     leaf = _partition(vertices, chords_w, chords_b, code)
-    checked = rank_pair(matrix, leaf)
+    checked = rank_pair(pipe.matrix, leaf)
     if checked != (rw, rb):
         raise InvariantViolation(f"leaf ranks {checked} differ from the "
                                  f"search's {(rw, rb)}")
@@ -423,10 +420,7 @@ def search_genus(pipe: Pipeline) -> GenusResult:
     necessarily the least one that `min_genus_of_pipeline` reports. Raises
     InvariantViolation when `masked_rank` does not reproduce the search's
     ranks at that leaf."""
-    vertices = sorted(pipe.graph.vertices)
-    chords_w, chords_b = _side_chords(pipe.diagram, vertices)
-    found, _ = _pass_one(pipe.matrix.rows, chords_w, chords_b, pipe.linked)
-    return _checked(pipe.matrix, vertices, chords_w, chords_b, found)
+    return _solve(pipe, least=False)
 
 
 def min_genus_of_pipeline(pipe: Pipeline, threads: Optional[int] = None) -> GenusResult:
@@ -434,13 +428,7 @@ def min_genus_of_pipeline(pipe: Pipeline, threads: Optional[int] = None) -> Genu
     unless pass 1 already was it, the least witness. Raises
     InvariantViolation when `masked_rank` does not reproduce the search's
     ranks at the witness."""
-    vertices = sorted(pipe.graph.vertices)
-    chords_w, chords_b = _side_chords(pipe.diagram, vertices)
-    rows = pipe.matrix.rows
-    found, least = _pass_one(rows, chords_w, chords_b, pipe.linked)
-    if not least:
-        found = _pass_two(rows, chords_w, chords_b, found[0])
-    return _checked(pipe.matrix, vertices, chords_w, chords_b, found)
+    return _solve(pipe, least=True)
 
 
 def is_planar(g: StarGraph) -> PlanarityResult:

@@ -55,18 +55,35 @@ class BitMatrix:
         return True
 
 
+def _echelon(rows, mask: int = -1) -> dict[int, int]:
+    """The reduced row echelon form of the span of `rows`, each masked to
+    `mask`, as leading bit -> row: no row has another row's leading bit set.
+
+    Each new row is cleared of the leading bits it has, highest first;
+    since the form is reduced, clearing one leaves the others as they are.
+    A row that is left over gets a new leading bit, which it then clears
+    from the rows that have it.
+    """
+    echelon: dict[int, int] = {}
+    leads = 0  # bitmask of the leading bits
+    for r in rows:
+        r &= mask
+        while r & leads:
+            r ^= echelon[(r & leads).bit_length() - 1]
+        if r:
+            lead = r.bit_length() - 1
+            for other, p in echelon.items():
+                if p >> lead & 1:
+                    echelon[other] = p ^ r
+            echelon[lead] = r
+            leads |= 1 << lead
+    return echelon
+
+
 def rank_of_rows(rows) -> int:
-    """GF(2) rank of arbitrary int rows, by elimination on leading bits."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            lead = row.bit_length() - 1
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                break
-            row ^= pivot
-    return len(pivots)
+    """GF(2) rank of arbitrary int rows: the number of rows in their
+    reduced echelon form. `rank`, `corank` and `masked_rank` go through it."""
+    return len(_echelon(rows))
 
 
 def rank(m: BitMatrix) -> int:
@@ -183,18 +200,7 @@ class SymplecticBasis:
         complements of the radical, and another one moves each e_j' by a
         radical vector, so bases with equal gains can have different keys.
         """
-        echelon: dict[int, int] = {}  # leading bit -> row, fully reduced
-        for r in self.radical:
-            r &= live
-            for lead, p in echelon.items():
-                if r >> lead & 1:
-                    r ^= p
-            if r:
-                lead = r.bit_length() - 1
-                for other, p in echelon.items():
-                    if p >> lead & 1:
-                        echelon[other] = p ^ r
-                echelon[lead] = r
+        echelon = _echelon(self.radical, live)
         # as in `add`, projecting e_j off a pair with images (u, v) adds u
         # to its image when bit j of v is set, and v when bit j of u is
         correction = [0] * len(self.rows)

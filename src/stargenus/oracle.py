@@ -19,7 +19,8 @@ that trace many colourings give tables built once. `traced_genera` builds
 them once per graph and counts the faces of every colouring at once, vertex
 by vertex: fixing a vertex's colour bit adds the links out of its face
 slots, and a table of open path segments per colouring tells which link
-closes a face.
+closes a face. Both turn face counts into genera by one rule,
+`_genera_of_faces`.
 Colourings that share a vertex prefix share its links, so each colouring
 costs about two vertices' links instead of a walk over all its edges, and
 the table keeps only the slots of the vertices not yet done.
@@ -135,13 +136,8 @@ def _count_faces(t: _SuccessorTables, coloring: AtomColoring) -> FaceCount:
     bit = [coloring.bits[v] for v in t.vertices]
     white = _cycle_count([t.white[bit[h]][e] for e, h in enumerate(t.head)])
     black = _cycle_count([t.black[bit[v]][e] for e, v in enumerate(t.tail)])
-    euler = len(t.vertices) - len(t.head) + white + black
-    if euler % 2:
-        raise InvariantViolation("odd Euler characteristic")
-    genus = (2 - euler) // 2
-    if genus < 0:
-        raise InvariantViolation("negative genus from face trace")
-    return FaceCount(white, black, euler, genus)
+    genus = _genera_of_faces(white + black, len(t.vertices), len(t.head))
+    return FaceCount(white, black, 2 - 2 * genus, genus)
 
 
 def _add_links(start: np.ndarray, end: np.ndarray, faces: np.ndarray,
@@ -165,12 +161,15 @@ def _add_links(start: np.ndarray, end: np.ndarray, faces: np.ndarray,
         end_flat[row_base + first] = last
 
 
-def _genera_of_faces(faces: np.ndarray, n: int, m: int) -> np.ndarray:
+def _genera_of_faces(faces: int | np.ndarray, n: int, m: int) -> int | np.ndarray:
+    """The genus from the Euler characteristic n - m + faces of a surface on
+    n vertices and m edges, for one face count (an int) or an array of them.
+    Raises InvariantViolation when one is odd or gives a negative genus."""
     euler = n - m + faces
-    if (euler % 2).any():
+    if np.any(euler % 2):
         raise InvariantViolation("odd Euler characteristic")
     genus = (2 - euler) // 2
-    if (genus < 0).any():
+    if np.any(genus < 0):
         raise InvariantViolation("negative genus from face trace")
     return genus
 

@@ -1,34 +1,11 @@
-"""Union-find structures over dense integer keys."""
+"""Union-find over dense integer keys, with a parity bit on every link.
+
+It is the one union-find of the package. Plain connectivity is the case
+where every link has parity 0: `union(x, y, 0)` merges two sets, which
+never contradicts, and `find(x)[0]` is the root of x's set.
+"""
 
 from __future__ import annotations
-
-
-class UnionFind:
-    """Plain disjoint sets with union by rank and path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> bool:
-        """Merge the two sets. Returns True if they were distinct."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-        return True
 
 
 class ParityUnionFind:
@@ -46,19 +23,19 @@ class ParityUnionFind:
 
     def find(self, x: int) -> tuple[int, int]:
         """Return (root, parity of x relative to that root)."""
-        path = []
-        root = x
-        while self.parent[root] != root:
-            path.append(root)
-            root = self.parent[root]
-        acc = 0
-        for node in reversed(path):
-            acc ^= self.parity[node]
-            self.parent[node] = root
-            self.parity[node] = acc
-        if x == root:
-            return root, 0
-        return root, self.parity[x]
+        parent, parity = self.parent, self.parity
+        root, acc = x, 0
+        while parent[root] != root:
+            acc ^= parity[root]
+            root = parent[root]
+        # compress: each key on the path links to the root directly, with
+        # its parity to the root, which is acc less the links below it
+        rel = acc
+        while parent[x] != root:
+            up, link = parent[x], parity[x]
+            parent[x], parity[x] = root, rel
+            x, rel = up, rel ^ link
+        return root, acc
 
     def union(self, x: int, y: int, diff: int) -> bool:
         """Impose parity(x) XOR parity(y) = diff; False means contradiction."""

@@ -17,7 +17,7 @@ from stargenus.genus import (_coupling_order, _lookahead, _search, _side_chords,
                              search_genus)
 from stargenus.gf2 import BitMatrix, masked_rank
 from stargenus.oracle import coloring_flip, traced_genera
-from stargenus.union_find import UnionFind
+from stargenus.union_find import ParityUnionFind
 
 
 def test_pipeline_rejects_invalid_and_unorientable():
@@ -286,13 +286,13 @@ def _lowest_vertex_on_white(pipe, side: dict[int, str]) -> dict[int, str]:
     vertices = sorted(side)
     index = {v: k for k, v in enumerate(vertices)}
     owner = [index[grp.vertex] for grp in pipe.diagram.groups]
-    uf = UnionFind(len(vertices))
+    uf = ParityUnionFind(len(vertices))
     for i, j in pipe.linked:
-        uf.union(owner[i], owner[j])
+        uf.union(owner[i], owner[j], 0)
     lowest_side: dict[int, str] = {}
     out = {}
     for k, v in enumerate(vertices):
-        flip = lowest_side.setdefault(uf.find(k), side[v]) == "B"
+        flip = lowest_side.setdefault(uf.find(k)[0], side[v]) == "B"
         out[v] = {"W": "B", "B": "W"}[side[v]] if flip else side[v]
     return out
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from stargenus.gf2 import (BitMatrix, SymplecticBasis, corank, masked_rank,
+from stargenus.gf2 import (BitMatrix, SymplecticBasis, _echelon, corank, masked_rank,
                            principal_submatrix, rank, rank_of_rows)
 
 
@@ -88,6 +88,25 @@ def test_submatrix_rank_monotone():
 
 def test_rank_of_rows_accepts_generators():
     assert rank_of_rows(r for r in (0b110, 0b011, 0b101)) == 2
+
+
+def test_echelon_is_reduced_and_spans_the_rows():
+    # against the span closed by brute force: it has 2^rank vectors, and the
+    # echelon rows lie in it, each clear of every other row's leading bit
+    for seed in range(400):
+        rng = random.Random(seed)
+        rows = [rng.randrange(256) for _ in range(rng.randint(0, 8))]
+        span = {0}
+        for r in rows:
+            span |= {s ^ r for s in span}
+        assert 2 ** rank_of_rows(rows) == len(span), rows
+        echelon = _echelon(rows)
+        assert set(echelon.values()) <= span, rows
+        for lead, row in echelon.items():
+            assert row.bit_length() - 1 == lead, rows
+            assert all(not row >> other & 1 for other in echelon if other != lead), rows
+        mask = rng.randrange(256)
+        assert _echelon(rows, mask) == _echelon([r & mask for r in rows]), (rows, mask)
 
 
 def symplectic_insertions():

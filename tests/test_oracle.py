@@ -34,6 +34,8 @@ def test_trace_faces_g8_pinned():
     assert (fc.white, fc.black, fc.euler, fc.genus) == (2, 1, 2, 0)
     fc = trace_faces(g, o, AtomColoring({0: 1}))
     assert (fc.white, fc.black, fc.euler, fc.genus) == (1, 2, 2, 0)
+    # plain ints, though the genus rule it shares with traced_genera takes arrays
+    assert {type(x) for x in (fc.white, fc.black, fc.euler, fc.genus)} == {int}
 
 
 def test_trace_faces_ghopf_pinned():

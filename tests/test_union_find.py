@@ -1,16 +1,17 @@
 import random
 
-from stargenus.union_find import ParityUnionFind, UnionFind
+from stargenus.union_find import ParityUnionFind
 
 
 def test_union_find_basic():
-    uf = UnionFind(5)
-    assert uf.union(0, 1)
-    assert uf.union(3, 4)
-    assert not uf.union(1, 0)
+    # plain connectivity: parity 0 on every link
+    uf = ParityUnionFind(5)
+    assert uf.union(0, 1, 0)
+    assert uf.union(3, 4, 0)
+    assert uf.union(1, 0, 0)  # already joined, and consistent
     assert uf.find(0) == uf.find(1)
     assert uf.find(3) == uf.find(4)
-    assert uf.find(2) not in (uf.find(0), uf.find(3))
+    assert uf.find(2)[0] not in (uf.find(0)[0], uf.find(3)[0])
 
 
 def test_parity_consistent_chain():
