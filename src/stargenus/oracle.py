@@ -16,14 +16,16 @@ gives for every edge its next edge on the white and on the black face for
 either colour bit of the vertex the face passes through. `trace_faces`
 walks those tables for one colouring, through `_count_faces`, which callers
 that trace many colourings give tables built once. `traced_genera` builds
-them once per graph and counts the faces of every colouring at once, vertex
-by vertex: fixing a vertex's colour bit adds the links out of its face
-slots, and a table of open path segments per colouring tells which link
-closes a face. Both turn face counts into genera by one rule,
-`_genera_of_faces`.
-Colourings that share a vertex prefix share its links, so each colouring
-costs about two vertices' links instead of a walk over all its edges, and
-the table keeps only the slots of the vertices not yet done.
+them once per graph and counts the faces of half the colourings at once,
+those in which the last vertex (by ascending id) has bit 0, vertex by
+vertex: fixing a vertex's colour bit adds the links out of its face slots,
+and a table of open path segments per colouring tells which link closes a
+face. Swapping every colour keeps the genus, so the other half are read
+off the traced half. Both turn face counts into genera by one rule,
+`_genera_of_faces`. Colourings that share a vertex prefix share its links,
+and both bits of a vertex link the same slots in one pass, so each traced
+colouring costs about two vertices' links instead of a walk over all its
+edges, and the table keeps only the slots of the vertices not yet done.
 """
 
 from __future__ import annotations
@@ -40,11 +42,13 @@ if TYPE_CHECKING:  # annotations only: the oracle runs on core_graph alone
     from .genus import Pipeline, PermissiblePartition
 
 # Colourings per block, a power of two. The low log2(BLOCK) vertices are
-# expanded once into a BLOCK-row table that every block of codes starts from;
-# a block's two segment tables take at most BLOCK x 2m bytes and shrink as
-# vertices are done. On 18-21 vertex graphs (2 shared vCPUs) 4,096 rows ran
-# 15-20% faster than 2,048 and within 10% of 8,192; on 12-14 vertices the
-# sizes tie. The peak on an 18-vertex cover is 1.4 MB.
+# expanded once into a table that every block of codes starts from. Vertex
+# n - 1, the lowest code bit, keeps bit 0, so the table has BLOCK / 2 rows,
+# one per even code of the block. A block's two segment tables take at most
+# BLOCK / 2 x 2m bytes and shrink as vertices are done. On 18-20 vertex
+# graphs (2 shared vCPUs) 4,096 beat 2,048 in all six runs, by 16-49%, and
+# was within noise of 8,192; on 12-14 vertices the sizes tie. The
+# tracemalloc peak on an 18-vertex cover is 0.85 MB.
 BLOCK = 4096
 
 
@@ -141,24 +145,29 @@ def _count_faces(t: _SuccessorTables, coloring: AtomColoring) -> FaceCount:
 
 
 def _add_links(start: np.ndarray, end: np.ndarray, faces: np.ndarray,
-               links: list[tuple[int, int]]) -> None:
-    """Add every link s -> t in `links` to every row, counting closed faces.
+               ends: list[int], targets: np.ndarray) -> None:
+    """Add the links ends[i] -> targets[i] to every row, in turn, and count
+    the faces they close. targets[i] holds one target per row, or a single
+    target for every row.
 
     Row r of the C-contiguous tables holds one colouring's open path
     segments: start[r, e] is the first slot of the segment that ends at e,
-    end[r, s] the last slot of the one that starts at s. The link joins the
-    segment ending at s to the one starting at t, and closes a face when
-    they are the same segment, i.e. when s's segment starts at t. Only in
-    such rows do the writes below hit the columns `first` and `last` they
-    read from, and there they write back the values those already hold.
+    end[r, s] the last slot of the one that starts at s. The link s -> t
+    joins the segment ending at s to the one starting at t, and closes a
+    face when they are the same segment, i.e. when s's segment starts at t.
+    Only in such rows do the writes below hit the columns they read from,
+    and there they write back the values those already hold.
     """
-    row_base = np.arange(len(faces)) * start.shape[1]
+    rows, width = start.shape
+    row_base = np.arange(rows) * width
     start_flat, end_flat = start.reshape(-1), end.reshape(-1)
-    for s, t in links:
-        first, last = start[:, s], end[:, t]
-        faces += first == t
+    firsts = np.empty((len(ends), rows), dtype=start.dtype)
+    for s, first, t in zip(ends, firsts, targets):
+        first[:] = start[:, s]
+        last = end_flat[row_base + t]
         start_flat[row_base + last] = first
         end_flat[row_base + first] = last
+    faces += (firsts == targets).sum(axis=0, dtype=faces.dtype)
 
 
 def _genera_of_faces(faces: int | np.ndarray, n: int, m: int) -> int | np.ndarray:
@@ -185,6 +194,15 @@ def traced_genera(g: StarGraph, orientation: Orientation,
     characteristic is odd or its genus negative. Also refuses, whatever the
     cap, a graph whose codes do not fit in int64 (n > 62) or whose 2^n
     genera cannot be allocated. Every refusal comes before any tracing.
+
+    Only the even codes are traced. Code 2^n - 1 - c is c with every colour
+    swapped, which makes every white angle black and every black one white.
+    A white face runs forward through white angles and a black face backward
+    through black ones, so the white successor map of the swapped colouring
+    is the inverse of the black map of c, and its black map the inverse of
+    c's white one. A permutation and its inverse have the same number of
+    cycles, so both colourings have the same face count and genus, and the
+    odd codes, read in reverse, are the even ones.
     """
     n = g.n_vertices
     if cap is not None and n > cap:
@@ -222,45 +240,51 @@ def traced_genera(g: StarGraph, orientation: Orientation,
     slots_at: list[list[int]] = [[] for _ in range(n)]
     for s, v in enumerate(owner):
         slots_at[v].append(s)
-    # links[k][c]: the links out of the k-th vertex's slots when its bit is c
-    links = [[[(as_end[s], as_start[succ[c][s]]) for s in own] for c in (0, 1)]
-             for own in slots_at]
 
     width = 2 * m
-    start = np.empty((1, width), dtype=np.min_scalar_type(width))
+    slot = np.min_scalar_type(width)  # the dtype of slot ranks in the tables
+    # the k-th vertex's slots link ends[k][i] -> targets[k][i, c] when its bit is c
+    ends = [[as_end[s] for s in own] for own in slots_at]
+    targets = [np.array([[as_start[succ[c][s]] for c in (0, 1)] for s in own], dtype=slot)
+               for own in slots_at]
+
+    start = np.empty((1, width), dtype=slot)
     end = np.empty_like(start)
     start[0, as_end] = as_start  # every slot is a segment of its own
     end[0, as_start] = as_end
     faces = np.zeros(1, dtype=np.int16)  # faces <= 2m < 2^15
-    # Each low vertex doubles the rows into its bit-0 half and its bit-1 half,
-    # so row r has the low code bits r.
-    for k in range(n - 1, high - 1, -1):
+    # Vertex n - 1 keeps bit 0 (see the docstring). Each further low vertex
+    # doubles the rows into its bit-0 half and its bit-1 half, so row r has
+    # the low code bits 2r.
+    _add_links(start, end, faces, ends[n - 1], targets[n - 1][:, :1])
+    width -= len(slots_at[n - 1])
+    for k in range(n - 2, high - 1, -1):
         rows = len(faces)
         start, end = (np.concatenate([a[:, :width]] * 2) for a in (start, end))
         faces = np.concatenate([faces, faces])
-        for bit in (0, 1):
-            half = slice(bit * rows, (bit + 1) * rows)
-            _add_links(start[half], end[half], faces[half], links[k][bit])
+        _add_links(start, end, faces, ends[k], np.repeat(targets[k], rows, axis=1))
         width -= len(slots_at[k])
 
     # Each high vertex fixes one bit per level of a depth-first walk over the
     # blocks that starts from the low table, so blocks with a common high
     # prefix share its links.
-    block = len(faces)
+    even = genera[0::2]
+    rows = len(faces)
 
     def descend(k: int, prefix: int, start: np.ndarray, end: np.ndarray,
                 faces: np.ndarray, width: int) -> None:
         if k == high:
-            genera[prefix * block:(prefix + 1) * block] = _genera_of_faces(faces, n, m)
+            even[prefix * rows:(prefix + 1) * rows] = _genera_of_faces(faces, n, m)
             return
         for bit in (0, 1):
             # bit 0 works on trimmed copies; bit 1 takes over its parent's tables
             tables = (start[:, :width].copy(), end[:, :width].copy(), faces.copy()) \
                 if bit == 0 else (start, end, faces)
-            _add_links(*tables, links[k][bit])
+            _add_links(*tables, ends[k], targets[k][:, bit:bit + 1])
             descend(k + 1, prefix << 1 | bit, *tables, width - len(slots_at[k]))
 
     descend(0, 0, start, end, faces, width)
+    genera[1::2] = even[::-1]  # code 2^n - 1 - c swaps every colour of c
     return genera
 
 

@@ -205,11 +205,13 @@ def test_min_genus_agrees_with_bruteforce(random_corpus):
 
 def test_traced_genera_match_trace_faces(small_source_sink, random_corpus, seeded_covers):
     # the 14-vertex cover has four blocks of codes, so the walk over the
-    # high bits fixes two vertices and every block boundary is covered
+    # high bits fixes two vertices and every block boundary is covered;
+    # chain(13) has two blocks, so the walk fixes exactly one
     many_blocks = seeded_covers((7,))[0]
     assert 1 << many_blocks.n_vertices >= 4 * BLOCK
+    assert 1 << 13 == 2 * BLOCK
     for g in (small_source_sink + random_corpus[:40] + seeded_covers((3, 4, 5, 6))
-              + [chain(12), many_blocks]):
+              + [chain(12), chain(13), many_blocks]):
         orientation = find_source_sink_orientation(g)
         tables = _successor_tables(g, orientation)
         n = g.n_vertices
@@ -223,13 +225,25 @@ def test_traced_genera_match_trace_faces(small_source_sink, random_corpus, seede
 
 def test_swapping_every_colour_keeps_the_traced_genus(small_source_sink, random_corpus,
                                                       seeded_covers):
-    # swapping every angle colour swaps the white and the black faces, and
-    # code 2^n - 1 - c is c with every bit swapped
+    # code 2^n - 1 - c is c with every bit swapped, which swaps every angle
+    # colour: the white faces of one colouring are the black faces of the
+    # other, traced the other way round. traced_genera relies on this, so
+    # it is checked one colouring at a time: every code up to 12 vertices,
+    # a seeded sample on the 14-vertex cover
     graphs = small_source_sink + random_corpus + seeded_covers((3, 4, 5, 6, 7))
     assert max(g.n_vertices for g in graphs) == 14
+    rng = random.Random(20121223)
     for g in graphs:
-        genera = traced_genera(g, require_source_sink(g))
-        assert genera.tolist() == genera[::-1].tolist()
+        tables = _successor_tables(g, require_source_sink(g))
+        n = g.n_vertices
+        verts = sorted(g.vertices)
+        codes = range(1 << (n - 1))
+        for code in codes if n <= 12 else rng.sample(codes, 512):
+            fc, swapped = (
+                _count_faces(tables, AtomColoring({v: (c >> (n - 1 - k)) & 1
+                                                   for k, v in enumerate(verts)}))
+                for c in (code, (1 << n) - 1 - code))
+            assert (fc.white, fc.black, fc.genus) == (swapped.black, swapped.white, swapped.genus)
 
 
 def test_traced_genera_working_set_is_bounded(seeded_covers):
