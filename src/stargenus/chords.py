@@ -123,18 +123,12 @@ def expand(diagram: StarChordDiagram) -> ChordDiagram:
         elif isinstance(att, DoubleChord):
             split.add(att.principal)
 
-    minus: dict[int, int] = {}
-    plus: dict[int, int] = {}
-    mapped: dict[int, int] = {}
+    # at[p]: where point p lands, or p- when p is split, with p+ at at[p] + 1
+    at: list[int] = []
     pos = 0
     for p in range(diagram.n_points):
-        if p in split:
-            minus[p], plus[p] = pos, pos + 1
-            pos += 2
-        else:
-            mapped[p] = pos
-            pos += 1
-    n_new = pos
+        at.append(pos)
+        pos += 2 if p in split else 1
 
     chords: list[tuple[int, int]] = []
     groups: list[ChordGroup] = []
@@ -146,24 +140,24 @@ def expand(diagram: StarChordDiagram) -> ChordDiagram:
     for att in diagram.attachments:
         if isinstance(att, Chord):
             p, q = att.points
-            emit(mapped[p], mapped[q], ChordGroup(att.vertex, "chord"))
+            emit(at[p], at[q], ChordGroup(att.vertex, "chord"))
         elif isinstance(att, Triad):
             p, q, r = att.points
             if att.crossed:
-                emit(minus[p], mapped[q], ChordGroup(att.vertex, "triad"))
-                emit(plus[p], mapped[r], ChordGroup(att.vertex, "triad"))
+                emit(at[p], at[q], ChordGroup(att.vertex, "triad"))
+                emit(at[p] + 1, at[r], ChordGroup(att.vertex, "triad"))
             else:
-                emit(plus[p], mapped[q], ChordGroup(att.vertex, "triad"))
-                emit(minus[p], mapped[r], ChordGroup(att.vertex, "triad"))
+                emit(at[p] + 1, at[q], ChordGroup(att.vertex, "triad"))
+                emit(at[p], at[r], ChordGroup(att.vertex, "triad"))
         else:
             p = att.principal
             q, r = att.others
-            emit(plus[p], mapped[q], ChordGroup(att.vertex, "dchord", plus=True))
-            emit(minus[p], mapped[r], ChordGroup(att.vertex, "dchord", plus=False))
+            emit(at[p] + 1, at[q], ChordGroup(att.vertex, "dchord", plus=True))
+            emit(at[p], at[r], ChordGroup(att.vertex, "dchord", plus=False))
 
     order = sorted(range(len(chords)), key=lambda i: chords[i][0])
     return ChordDiagram(
-        n_points=n_new,
+        n_points=pos,
         chords=tuple(chords[i] for i in order),
         groups=tuple(groups[i] for i in order),
     )

@@ -115,6 +115,7 @@ def validate(g: StarGraph) -> list[str]:
 
     seen_ids: set[int] = set()
     refs_ok = True
+    counts: dict[tuple[int, int], int] = {}
     for e in g.edges:
         if e.id in seen_ids:
             violations.append(f"duplicate edge id {e.id}")
@@ -126,11 +127,7 @@ def validate(g: StarGraph) -> list[str]:
             elif not 0 <= ref.slot < g.vertices[ref.vertex]:
                 violations.append(f"edge {e.id} slot {ref} out of range")
                 refs_ok = False
-
-    counts: dict[tuple[int, int], int] = {}
-    for e in g.edges:
-        for ref in e.ends:
-            if ref.vertex in g.vertices and 0 <= ref.slot < g.vertices[ref.vertex]:
+            else:
                 counts[(ref.vertex, ref.slot)] = counts.get((ref.vertex, ref.slot), 0) + 1
     for v in sorted(g.vertices):
         if g.vertices[v] not in SUPPORTED_DEGREES:

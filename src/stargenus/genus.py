@@ -87,19 +87,13 @@ def build_pipeline(g: StarGraph) -> Pipeline:
 
 @dataclass(frozen=True)
 class PermissiblePartition:
-    """Vertex sides plus the induced chord index sets (white, black)."""
+    """Vertex sides plus the induced chord index sets (white, black), and
+    the side bit-vector `code`, as in `partition_from_code`."""
 
     side: dict[int, str]
     white: tuple[int, ...]
     black: tuple[int, ...]
-
-    @property
-    def code(self) -> int:
-        """The side bit-vector, as in `partition_from_code`."""
-        code = 0
-        for v in sorted(self.side):
-            code = code << 1 | (self.side[v] == SIDE_BLACK)
-        return code
+    code: int
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,7 @@ def _partition(vertices: list[int], chords_w: list[list[int]], chords_b: list[li
             black += chords_b[k]
     white.sort()
     black.sort()
-    return PermissiblePartition(side, tuple(white), tuple(black))
+    return PermissiblePartition(side, tuple(white), tuple(black), code)
 
 
 def partition_from_code(diagram: ChordDiagram, vertices: list[int],
@@ -329,21 +323,23 @@ def _search(rows: tuple[int, ...], chords_w: list[list[int]], chords_b: list[lis
     n = len(order)
     to_w = [chords_w[k] for k in order]
     to_b = [chords_b[k] for k in order]
+    # each depth's code bit, so codes are in ascending vertex order as built
+    bit = [1 << (n - 1 - k) for k in order]
     # suffix[k]: (mask_w, mask_b) of the vertices from depth k on, the
     # unplaced ones `_lookahead` reads below a node at depth k - 1
     masks = [(_mask(w), _mask(b)) for w, b in zip(to_w, to_b)]
     suffix = [masks[k:] for k in range(n + 1)]
     found = None
     empty = SymplecticBasis(rows)
-    # (depth, code with that vertex's bit last, white basis, black basis,
-    # parent's bound); an explicit stack, so depth is not bounded by the
-    # recursion limit
+    # (depth, code with the bits of the vertices down to that depth, white
+    # basis, black basis, parent's bound); an explicit stack, so depth is
+    # not bounded by the recursion limit
     stack = [(0, 0, empty, empty, 0)]
     while stack:
         k, code, white, black, bound = stack.pop()
         if bound >= best:  # best improved since the push
             continue
-        to_white, to_black = (to_b[k], to_w[k]) if code & 1 else (to_w[k], to_b[k])
+        to_white, to_black = (to_b[k], to_w[k]) if code & bit[k] else (to_w[k], to_b[k])
         for i in to_white:
             white = white.add(i)
         for i in to_black:
@@ -358,16 +354,9 @@ def _search(rows: tuple[int, ...], chords_w: list[list[int]], chords_b: list[lis
                 break
         elif bound + 2 < best or bound + _lookahead(
                 white.raisers, black.raisers, suffix[k + 1], best - bound) < best:
-            stack.append((k + 1, code << 1 | 1, white, black, bound))
-            stack.append((k + 1, code << 1, white, black, bound))
-    if found is None:
-        return None
-    # bit k of the walk's code (big-endian) is the side of vertex order[k]
-    genus, code, rw, rb = found
-    ascending = 0
-    for k, position in enumerate(order):
-        ascending |= (code >> (n - 1 - k) & 1) << (n - 1 - position)
-    return genus, ascending, rw, rb
+            stack.append((k + 1, code | bit[k + 1], white, black, bound))
+            stack.append((k + 1, code, white, black, bound))
+    return found
 
 
 def _solve(pipe: Pipeline, least: bool) -> GenusResult:

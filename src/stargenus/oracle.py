@@ -314,37 +314,24 @@ def oracle_min_genus(g: StarGraph, cap: Optional[int] = DEFAULT_CAP) -> int:
 
 
 def chord_region_parity(pipe: Pipeline) -> dict[int, int]:
-    """Angle-class parity that is white at each vertex when its side is W.
-
-    The circuit fixes, at every vertex, which angle class the chord regions
-    fall into. At a rotating vertex every passage turns through angles of one
-    class and the regions lie in the other. At a splitting vertex the
-    straight passage cuts the star in two; the regions follow the side on
-    which the circuit first returns, read off from the in-slot of the next
-    visit after the principal one.
+    """Angle-class parity that is white at each vertex when its side is W:
+    the class that one passage of the circuit there does not turn through.
+    Every passage at a rotating vertex turns through one class, so the
+    first visit is read. At a splitting vertex the straight passage uses
+    slots a and a + 3, so the other two turn through (a + 1, a + 2) and
+    (a + 4, a + 5), both of one class; the visit after the principal one,
+    where the double chord's p+ half ends, is read.
     """
     parity: dict[int, int] = {}
     for v in sorted(pipe.graph.vertices):
         d = pipe.graph.vertices[v]
-        cls = pipe.classes[v]
+        principal = pipe.classes[v].principal
         pos = pipe.circuit.positions[v]
-        if cls.kind in ("rotating4", "rotating6"):
-            vis = pipe.circuit.visits[pos[0]]
-            i, o = vis.in_slot, vis.out_slot
-            if (i + 1) % d == o:
-                angle_index = i
-            elif (o + 1) % d == i:
-                angle_index = o
-            else:
-                raise InvariantViolation(f"non-adjacent passage at rotating vertex {v}")
-            parity[v] = 1 - (angle_index % 2)
-        else:
-            k = cls.principal or 0
-            principal = pipe.circuit.visits[pos[k]]
-            a_in = principal.in_slot
-            nxt = pipe.circuit.visits[pos[(k + 1) % 3]]
-            near = ((a_in + 1) % 6, (a_in + 2) % 6)
-            parity[v] = a_in % 2 if nxt.in_slot in near else (a_in + 1) % 2
+        vis = pipe.circuit.visits[pos[0 if principal is None else (principal + 1) % 3]]
+        i, o = vis.in_slot, vis.out_slot
+        if (i + 1) % d != o and (o + 1) % d != i:
+            raise InvariantViolation(f"non-adjacent passage at vertex {v}")
+        parity[v] = 1 - (i if (i + 1) % d == o else o) % 2
     return parity
 
 

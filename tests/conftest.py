@@ -6,7 +6,8 @@ vertices (every perfect matching of the slot stubs for degree profiles 4, 6,
 `small_source_sink` its source-sink subset. `random_corpus` adds 200 seeded
 source-sink graphs with up to 10 mixed-degree vertices. `seeded_covers`
 builds larger source-sink graphs: parity double covers, and
-`connected_sums` chains of small ones into one graph.
+`connected_sums` chains of small ones into one graph, by the edge swap
+that `edge_swap_sum` applies to any list of graphs.
 """
 
 from __future__ import annotations
@@ -80,20 +81,28 @@ def build_seeded_covers(sizes, seed: int = 0) -> list[StarGraph]:
 
 
 def build_connected_sum(n4: int, n6: int, blocks: int, seed: int = 1000) -> StarGraph:
-    """The connected sum of `blocks` double covers of bases with n4
-    4-vertices and n6 6-vertices, drawn with the next seeds whose cover is
-    connected. Block i's vertex and edge ids are shifted past block i - 1's;
-    then, for each i, the last edge (a1, b1) of block i and the first edge
-    (a2, b2) of block i + 1 become (a1, b2) and (a2, b1)."""
+    """The connected sum (see `join_by_edge_swap`) of `blocks` double covers
+    of bases with n4 4-vertices and n6 6-vertices, drawn with the next seeds
+    whose cover is connected."""
     covers = []
     while len(covers) < blocks:
         seed += 1
         g = double_cover(random_star_graph(seed, n4, n6))
         if not validate(g):
             covers.append(g)
+    return join_by_edge_swap(covers)
+
+
+def join_by_edge_swap(blocks: list[StarGraph]) -> StarGraph:
+    """The connected sum of `blocks`, in order, each with vertex and edge
+    ids from 0. Block i's vertex and edge ids are shifted past block i - 1's;
+    then, for each i, the last edge (a1, b1) of block i and the first edge
+    (a2, b2) of block i + 1 become (a1, b2) and (a2, b1). The swap keeps
+    every slot covered and each vertex's phase constraints consistent, so
+    source-sink blocks give a source-sink sum."""
     vertices: dict[int, int] = {}
     chained: list[list[Edge]] = []
-    for g in covers:
+    for g in blocks:
         shift, eshift = len(vertices), sum(len(edges) for edges in chained)
         vertices.update((v + shift, d) for v, d in g.vertices.items())
         chained.append([Edge(e.id + eshift, HalfEdgeRef(e.a.vertex + shift, e.a.slot),
@@ -107,6 +116,11 @@ def build_connected_sum(n4: int, n6: int, blocks: int, seed: int = 1000) -> Star
 @pytest.fixture(scope="session")
 def connected_sums():
     return build_connected_sum
+
+
+@pytest.fixture(scope="session")
+def edge_swap_sum():
+    return join_by_edge_swap
 
 
 @pytest.fixture(scope="session")

@@ -112,6 +112,14 @@ def test_region_parity_fixtures():
     assert chord_region_parity(build_pipeline(ghopf())) == {0: 0, 1: 1}
     assert chord_region_parity(build_pipeline(gt3f())) == {0: 0}
     assert chord_region_parity(build_pipeline(gt3c())) == {0: 0}
+    # one splitting vertex each: the visit after the straight passage turns
+    # through the angle just past its in-slot (near: 5 -> 2, then (0, 1)),
+    # or just past its out-slot (far: 3 -> 0, then (1, 2))
+    for pairs, parity in (([((0, 0), (0, 3)), ((0, 1), (0, 2)), ((0, 4), (0, 5))], {0: 1}),
+                          ([((0, 0), (0, 1)), ((0, 2), (0, 5)), ((0, 3), (0, 4))], {0: 0})):
+        pipe = build_pipeline(StarGraph.build({0: 6}, pairs))
+        assert pipe.classes[0].kind == "splitting6"
+        assert chord_region_parity(pipe) == parity
 
 
 def test_coloring_of_partition_pinned():
@@ -203,15 +211,23 @@ def test_min_genus_agrees_with_bruteforce(random_corpus):
             min_genus_bruteforce(g)[0]
 
 
-def test_traced_genera_match_trace_faces(small_source_sink, random_corpus, seeded_covers):
+def test_traced_genera_match_trace_faces(small_source_sink, random_corpus, seeded_covers,
+                                         edge_swap_sum):
     # the 14-vertex cover has four blocks of codes, so the walk over the
     # high bits fixes two vertices and every block boundary is covered;
-    # chain(13) has two blocks, so the walk fixes exactly one
+    # chain(13) has two blocks, so the walk fixes exactly one. On chain(k)
+    # the odd codes come out right even when filled without the reversal,
+    # or when vertex 0's bit is fixed instead of vertex n - 1's; on the
+    # 13-vertex sum of chain(1) and a 12-vertex cover, in that order, both
+    # faults show (with the cover first, vertex n - 1 is chain(1)'s, whose
+    # colour never changes the genus, and the first one passes)
+    covers = seeded_covers((3, 4, 5, 6))
     many_blocks = seeded_covers((7,))[0]
+    one_high_bit = edge_swap_sum([chain(1), covers[-1]])
     assert 1 << many_blocks.n_vertices >= 4 * BLOCK
-    assert 1 << 13 == 2 * BLOCK
-    for g in (small_source_sink + random_corpus[:40] + seeded_covers((3, 4, 5, 6))
-              + [chain(12), chain(13), many_blocks]):
+    assert 1 << 13 == 2 * BLOCK == 1 << one_high_bit.n_vertices
+    for g in (small_source_sink + random_corpus[:40] + covers
+              + [chain(12), chain(13), one_high_bit, many_blocks]):
         orientation = find_source_sink_orientation(g)
         tables = _successor_tables(g, orientation)
         n = g.n_vertices
