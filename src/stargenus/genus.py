@@ -88,7 +88,9 @@ def build_pipeline(g: StarGraph) -> Pipeline:
 @dataclass(frozen=True)
 class PermissiblePartition:
     """Vertex sides plus the induced chord index sets (white, black), and
-    the side bit-vector `code`, as in `partition_from_code`."""
+    the side bit-vector `code`, as in `partition_from_code`. Build it with
+    `partition_from_code` (or the search), which fills all four from one
+    code; `code` and `side` are not checked against each other."""
 
     side: dict[int, str]
     white: tuple[int, ...]

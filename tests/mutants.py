@@ -4,20 +4,26 @@ Each mutant names a file under `src/stargenus/`, an exact snippet of it,
 the snippet's replacement, and the tier-1 test ids that must fail once the
 replacement is made. For each mutant the runner copies `src/` and `tests/`
 into a temporary directory, makes the replacement there and runs those
-tests with pytest; the working tree is never touched. The run fails when a
-snippet does not occur exactly once in the current source (so a change that
-moves the code must update its mutants rather than drop them), when a
-listed test does not pass on the unchanged source, when pytest cannot run
-the listed tests on a mutant (it stops at collection, say), or when a
-listed test passes on its mutant (the mutant survives).
+tests with pytest; the working tree is never touched. A listed test counts
+as failed only when it fails on a check: an `AssertionError`, pytest's own
+`Failed` (`pytest.fail`, or `pytest.raises` that saw nothing raised) or an
+`InvariantViolation`. Any other exception means the replacement no longer
+makes sense (a `TypeError` after a field was added, say), and the mutant is
+reported as broken, not killed. The run fails when a snippet does not occur
+exactly once in the current source (so a change that moves the code must
+update its mutants rather than drop them), when a listed test does not pass
+on the unchanged source, when pytest cannot run the listed tests or takes
+longer than `TIMEOUT_S`, when a mutant is broken, or when a listed test
+passes on its mutant (the mutant survives).
 
 Run from anywhere, with pytest installed:
 
-    python tests/mutants.py          # every mutant
-    python tests/mutants.py NAME...  # the named ones
+    python tests/mutants.py
 
 It uses the standard library only. Pytest does not collect this file,
-since its name does not start with `test_`.
+since its name does not start with `test_`; each pytest run the runner
+starts loads it as a plugin (`-p mutants`) for the hook that records what
+every failing test raised.
 """
 
 from __future__ import annotations
@@ -84,8 +90,9 @@ MUTANTS = (
         "oracle.py",
         "    t = _successor_tables(g, orientation)\n",
         "    t = _successor_tables(g, orientation)\n"
-        "    t = _SuccessorTables(t.vertices, tuple(n - 1 - v for v in t.head),\n"
-        "                         tuple(n - 1 - v for v in t.tail), t.white, t.black)\n",
+        "    import dataclasses\n"
+        "    t = dataclasses.replace(t, head=tuple(n - 1 - v for v in t.head),\n"
+        "                            tail=tuple(n - 1 - v for v in t.tail))\n",
         ("tests/test_oracle.py::test_traced_genera_match_trace_faces",),
     ),
     Mutant(
@@ -99,6 +106,21 @@ MUTANTS = (
 )
 
 
+# the exceptions by which a test fails on a check, by class name (any class
+# in the raised exception's MRO)
+CHECKS = frozenset({"AssertionError", "Failed", "InvariantViolation"})
+TIMEOUT_S = 300  # per pytest run; the whole catalogue takes about 20 s
+
+
+def pytest_exception_interact(node, call, report):
+    """Pytest hook, run in each pytest the runner starts: append the id of
+    the failing test and the class names of what it raised to the file
+    named by MUTANTS_REPORT."""
+    names = " ".join(c.__name__ for c in call.excinfo.type.__mro__)
+    with open(os.environ["MUTANTS_REPORT"], "a") as out:
+        out.write(f"{node.nodeid}\t{names}\n")
+
+
 def _copy_tree(dest: Path) -> None:
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, dest / part,
@@ -106,17 +128,28 @@ def _copy_tree(dest: Path) -> None:
     shutil.copy(ROOT / "pyproject.toml", dest)
 
 
-def _run(tree: Path, ids: list[str]) -> tuple[int, set[str]]:
-    """pytest's exit code on `ids` in `tree`, and the ids that failed."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+def _run(tree: Path, ids: list[str]) -> tuple[int | None, set[str], set[str]]:
+    """pytest's exit code on `ids` in `tree` (None when it timed out), the
+    ids that failed on a check, and those that failed on anything else."""
+    report = tree / "failures.txt"
+    report.touch()
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", MUTANTS_REPORT=str(report))
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(tree / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *ids],
-        cwd=tree, env=env, capture_output=True, text=True)
-    bad = {line.split(" ", 1)[1].split(" - ", 1)[0].strip()
-           for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))}
-    return proc.returncode, bad & set(ids)
+        [str(tree / "src"), str(tree / "tests")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    try:
+        code: int | None = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "-p", "mutants", *ids],
+            cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        code = None
+    checked, broken = set(), set()
+    for line in report.read_text().splitlines():
+        nodeid, names = line.split("\t")
+        (checked if CHECKS & set(names.split()) else broken).add(nodeid)
+    ids_set = set(ids)
+    return code, checked & ids_set, (broken - checked) & ids_set
 
 
 def _mutate(tree: Path, mutant: Mutant) -> str | None:
@@ -130,29 +163,29 @@ def _mutate(tree: Path, mutant: Mutant) -> str | None:
     return None
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {' '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
+def main() -> int:
     problems = []
     with tempfile.TemporaryDirectory(prefix="stargenus-mutants-") as tmp:
         base = Path(tmp) / "base"
         _copy_tree(base)
-        code, _ = _run(base, sorted({i for m in chosen for i in m.kills}))
+        code, _, _ = _run(base, sorted({i for m in MUTANTS for i in m.kills}))
         if code != 0:
+            outcome = f"timed out after {TIMEOUT_S} s" if code is None else f"pytest exit {code}"
             problems.append(f"the listed tests do not all pass on the unchanged "
-                            f"source (pytest exit {code})")
-        for m in chosen:
+                            f"source ({outcome})")
+        for m in MUTANTS:
             tree = Path(tmp) / m.name
             _copy_tree(tree)
             reason = _mutate(tree, m) if m.kills else "it lists no test"
             if reason is None:
-                code, failed = _run(tree, list(m.kills))
-                survivors = sorted(set(m.kills) - failed)
-                if code not in (0, 1):
+                code, failed, broken = _run(tree, list(m.kills))
+                survivors = sorted(set(m.kills) - failed - broken)
+                if code is None:
+                    reason = f"its tests timed out after {TIMEOUT_S} s"
+                elif code not in (0, 1):
                     reason = f"pytest could not run its tests (exit {code})"
+                elif broken:
+                    reason = f"mutant broken: {' '.join(sorted(broken))} raised no check failure"
                 elif survivors:
                     reason = f"survives {' '.join(survivors)}"
             print(f"{m.name}: {reason or 'killed'}")
@@ -165,4 +198,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
