@@ -1,10 +1,15 @@
 """Command line interface.
 
+Each command returns its answer, and `main` alone renders it: the text
+lines, or under `--json` the one-line JSON payload, to stdout or to the
+`-o` file.
+
 Exit codes: 0 on success, 1 for clean negative answers (validation
 violations, no source-sink orientation, not planar, check disagreement),
 2 for input problems (unreadable or malformed files, unwritable output
-paths, invalid graphs fed to pipeline commands, unknown fixture names,
-oracle cap exceeded).
+paths, invalid graphs fed to pipeline commands, unknown fixture names or
+fixtures `gen` cannot build such as `chain(0)`, an invalid `--cap` or
+`STARGENUS_ORACLE_CAP` value, oracle cap exceeded).
 """
 
 from __future__ import annotations
@@ -81,138 +86,104 @@ def _int_at_least(low: int):
     return parse
 
 
-def _witness_json(side: dict[int, str]) -> dict[str, str]:
+def _witness_json(side: dict[int, object]) -> dict[str, object]:
     return {str(v): side[v] for v in sorted(side)}
 
 
-def _print_not_source_sink(as_json: bool) -> int:
-    if as_json:
-        print(json.dumps({"source_sink": False}))
-    else:
-        print("not source-sink")
-    return 1
+def _pairs(witness: dict[str, object]) -> str:
+    return " ".join(f"{v}={s}" for v, s in witness.items())
 
 
-def cmd_validate(args) -> int:
-    g = _load_graph(args.graph)
-    violations = validate(g)
-    if args.json:
-        print(json.dumps({"ok": not violations, "violations": violations}))
-    else:
-        if violations:
-            for line in violations:
-                print(line)
-        else:
-            print("ok")
-    return 1 if violations else 0
+# what each command returns: its exit code, its JSON payload (None for the
+# commands without --json) and its text lines
+_Answer = tuple[int, dict | None, list[str]]
 
 
-def cmd_orient(args) -> int:
-    orientation = require_source_sink(_load_graph(args.graph))
-    if args.json:
-        payload = {
-            "source_sink": True,
-            "orientation": {str(eid): [str(t), str(h)]
-                            for eid, (t, h) in sorted(orientation.direction.items())},
-        }
-        print(json.dumps(payload))
-    else:
-        for eid in sorted(orientation.direction):
-            tail, head = orientation.direction[eid]
-            print(f"e{eid}: {tail} -> {head}")
-    return 0
+def cmd_validate(args) -> _Answer:
+    violations = validate(_load_graph(args.graph))
+    return (1 if violations else 0, {"ok": not violations, "violations": violations},
+            violations or ["ok"])
 
 
-def cmd_cover(args) -> int:
-    _write_output(args.output, serialize_stg(double_cover(_load_graph(args.graph))))
-    return 0
+def cmd_orient(args) -> _Answer:
+    direction = sorted(require_source_sink(_load_graph(args.graph)).direction.items())
+    payload = {
+        "source_sink": True,
+        "orientation": {str(eid): [str(t), str(h)] for eid, (t, h) in direction},
+    }
+    return 0, payload, [f"e{eid}: {tail} -> {head}" for eid, (tail, head) in direction]
 
 
-def cmd_circuit(args) -> int:
+def cmd_cover(args) -> _Answer:
+    return 0, None, serialize_stg(double_cover(_load_graph(args.graph))).splitlines()
+
+
+def cmd_circuit(args) -> _Answer:
     pipe = build_pipeline(_load_graph(args.graph))
-    print("circuit: " + " ".join(f"e{eid}" for eid in pipe.circuit.edges))
-    for v in sorted(pipe.classes):
-        print(f"class {v}: {pipe.classes[v].label()}")
-    return 0
+    lines = ["circuit: " + " ".join(f"e{eid}" for eid in pipe.circuit.edges)]
+    lines += [f"class {v}: {pipe.classes[v].label()}" for v in sorted(pipe.classes)]
+    return 0, None, lines
 
 
-def cmd_diagram(args) -> int:
-    pipe = build_pipeline(_load_graph(args.graph))
-    star = pipe.star_diagram
-    print(f"circle: {star.n_points}")
+def cmd_diagram(args) -> _Answer:
+    star = build_pipeline(_load_graph(args.graph)).star_diagram
+    lines = [f"circle: {star.n_points}"]
     for att in star.attachments:
         if isinstance(att, Chord):
-            print(f"chord {att.points[0]} {att.points[1]}")
+            lines.append(f"chord {att.points[0]} {att.points[1]}")
         elif isinstance(att, Triad):
             shape = "crossed" if att.crossed else "flat"
-            print(f"triad {att.points[0]} {att.points[1]} {att.points[2]} {shape}")
+            lines.append(f"triad {att.points[0]} {att.points[1]} {att.points[2]} {shape}")
         else:
-            print(f"dchord {att.principal}* {att.others[0]} {att.others[1]}")
-    return 0
+            lines.append(f"dchord {att.principal}* {att.others[0]} {att.others[1]}")
+    return 0, None, lines
 
 
-def cmd_genus(args) -> int:
+def cmd_genus(args) -> _Answer:
     pipe = build_pipeline(_load_graph(args.graph))
     result = min_genus_of_pipeline(pipe)
-    if args.json:
-        payload = {
-            "source_sink": True,
-            "n_vertices": pipe.graph.n_vertices,
-            "n_chords": len(pipe.diagram.chords),
-            "min_genus": result.min_genus,
-            "ranks": list(result.ranks),
-            "witness": _witness_json(result.witness.side),
-        }
-        print(json.dumps(payload))
-    else:
-        print(f"min genus: {result.min_genus}")
-        print(f"ranks: {result.ranks[0]} {result.ranks[1]}")
-        print("witness: " + " ".join(f"{v}={result.witness.side[v]}"
-                                     for v in sorted(result.witness.side)))
-    return 0
+    witness = _witness_json(result.witness.side)
+    payload = {
+        "source_sink": True,
+        "n_vertices": pipe.graph.n_vertices,
+        "n_chords": len(pipe.diagram.chords),
+        "min_genus": result.min_genus,
+        "ranks": list(result.ranks),
+        "witness": witness,
+    }
+    return 0, payload, [f"min genus: {result.min_genus}",
+                        f"ranks: {result.ranks[0]} {result.ranks[1]}",
+                        "witness: " + _pairs(witness)]
 
 
-def cmd_planar(args) -> int:
-    pipe = build_pipeline(_load_graph(args.graph))
-    result = planarity_of_pipeline(pipe)
-    if args.json:
-        if result.planar:
-            print(json.dumps({"planar": True, "witness": _witness_json(result.witness or {})}))
-        else:
-            print(json.dumps({"planar": False, "conflict": list(result.conflict or ())}))
-    else:
-        if result.planar:
-            print("planar: yes")
-            side = result.witness or {}
-            print("witness: " + " ".join(f"{v}={side[v]}" for v in sorted(side)))
-        else:
-            print("planar: no")
-            print("conflict chords: " + " ".join(str(c) for c in result.conflict or ()))
-    return 0 if result.planar else 1
+def cmd_planar(args) -> _Answer:
+    result = planarity_of_pipeline(build_pipeline(_load_graph(args.graph)))
+    if result.planar:
+        witness = _witness_json(result.witness or {})
+        return (0, {"planar": True, "witness": witness},
+                ["planar: yes", "witness: " + _pairs(witness)])
+    conflict = list(result.conflict or ())
+    return (1, {"planar": False, "conflict": conflict},
+            ["planar: no", "conflict chords: " + " ".join(map(str, conflict))])
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> _Answer:
     from .oracle import min_genus_bruteforce
 
     g = _load_graph(args.graph)
     genus, coloring = min_genus_bruteforce(g, cap=_resolve_cap(args))
-    if args.json:
-        payload = {
-            "source_sink": True,
-            "n_vertices": g.n_vertices,
-            "min_genus": genus,
-            "witness": {str(v): coloring.bits[v] for v in sorted(coloring.bits)},
-            "method": "bruteforce",
-        }
-        print(json.dumps(payload))
-    else:
-        print(f"min genus: {genus}")
-        print("witness bits: " + " ".join(f"{v}={coloring.bits[v]}"
-                                          for v in sorted(coloring.bits)))
-    return 0
+    witness = _witness_json(coloring.bits)
+    payload = {
+        "source_sink": True,
+        "n_vertices": g.n_vertices,
+        "min_genus": genus,
+        "witness": witness,
+        "method": "bruteforce",
+    }
+    return 0, payload, [f"min genus: {genus}", "witness bits: " + _pairs(witness)]
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> _Answer:
     import numpy as np
 
     from .oracle import coloring_flip, traced_genera
@@ -228,36 +199,26 @@ def cmd_check(args) -> int:
     flip = coloring_flip(pipe)
     oracle_genus = int(traced.min())
     agree = result.min_genus == oracle_genus == int(traced[result.witness.code ^ flip])
+    payload = {"min_genus": result.min_genus, "oracle_min_genus": oracle_genus,
+               "agree": agree}
+    lines = [f"genus: {result.min_genus}", f"oracle: {oracle_genus}",
+             f"agree: {'yes' if agree else 'NO'}"]
 
-    checked = mismatches = 0
+    mismatches = 0
     if args.all_partitions:
         genera = partition_genera(pipe)
-        checked = len(genera)
-        codes = np.arange(checked)
+        codes = np.arange(len(genera))
         mismatches = int(np.count_nonzero(genera != traced[codes ^ flip]))
-
-    ok = agree and mismatches == 0
-    if args.json:
-        payload = {"min_genus": result.min_genus, "oracle_min_genus": oracle_genus,
-                   "agree": agree}
-        if args.all_partitions:
-            payload["partitions_checked"] = checked
-            payload["partition_mismatches"] = mismatches
-        print(json.dumps(payload))
-    else:
-        print(f"genus: {result.min_genus}")
-        print(f"oracle: {oracle_genus}")
-        print(f"agree: {'yes' if agree else 'NO'}")
-        if args.all_partitions:
-            print(f"partitions: {checked} checked, {mismatches} mismatches")
-    return 0 if ok else 1
+        payload["partitions_checked"] = len(genera)
+        payload["partition_mismatches"] = mismatches
+        lines.append(f"partitions: {len(genera)} checked, {mismatches} mismatches")
+    return (0 if agree and mismatches == 0 else 1), payload, lines
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> _Answer:
     from . import fixtures
 
-    _write_output(args.output, serialize_stg(fixtures.by_name(args.name)))
-    return 0
+    return 0, None, serialize_stg(fixtures.by_name(args.name)).splitlines()
 
 
 @functools.cache  # parsing leaves the parser as it was, so one serves every call
@@ -314,9 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except NotSourceSinkError:
-        return _print_not_source_sink(getattr(args, "json", False))
+        try:
+            code, payload, lines = args.func(args)
+        except NotSourceSinkError:
+            code, payload, lines = 1, {"source_sink": False}, ["not source-sink"]
+        if getattr(args, "json", False):
+            lines = [json.dumps(payload)]
+        _write_output(getattr(args, "output", None), "".join(f"{line}\n" for line in lines))
+        return code
     except StgParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -103,13 +103,71 @@ MUTANTS = (
         ("tests/test_gf2.py::test_symplectic_basis_tracks_masked_rank",
          "tests/test_gf2.py::test_symplectic_fields_track_the_pairs_and_radical"),
     ),
+    Mutant(
+        "lookahead-or",
+        "genus.py",
+        "if forced_w and forced_b:",
+        "if forced_w or forced_b:",
+        ("tests/test_genus.py::test_lookahead_is_the_least_extra_over_all_placements",),
+    ),
+    Mutant(
+        "residual-no-projection",
+        "gf2.py",
+        "return tuple(sorted(echelon.values())), tuple(projected)",
+        "return tuple(sorted(echelon.values())), ()",
+        ("tests/test_gf2.py::test_symplectic_residual_fixes_every_gain",
+         "tests/test_cli.py::test_check_all_partitions_on_a_14_vertex_cover"),
+    ),
+    Mutant(
+        "coupling-tie-high",
+        "genus.py",
+        "heapq.heappush(heap, (-coupling[b], b))",
+        "heapq.heappush(heap, (-coupling[b], -b))",
+        ("tests/test_genus.py::test_coupling_order_matches_a_quadratic_reference",),
+    ),
+    Mutant(
+        "dchord-halves-agree",
+        "genus.py",
+        "constraints.append((both[0], both[1], 1 if opposite else 0))",
+        "constraints.append((both[0], both[1], 0))",
+        ("tests/test_genus.py::test_planarity_agrees_with_min_genus",),
+    ),
+    Mutant(
+        "no-witness-pass",
+        "genus.py",
+        "    if least and order != sorted(order):\n",
+        "    if False:\n",
+        ("tests/test_genus.py::test_witness_is_least_code_on_covers",),
+    ),
+    Mutant(
+        "json-ignored",
+        "cli.py",
+        '        if getattr(args, "json", False):\n',
+        "        if False:\n",
+        ("tests/test_cli.py::test_validate_reports_violations",
+         "tests/test_cli.py::test_orient_frozen",
+         "tests/test_cli.py::test_genus_text_and_json",
+         "tests/test_cli.py::test_planar_exits",
+         "tests/test_cli.py::test_oracle_json",
+         "tests/test_cli.py::test_check_agreement",
+         "tests/test_cli.py::test_not_source_sink[orient]"),
+    ),
+    Mutant(
+        "not-source-sink-exits-0",
+        "cli.py",
+        'code, payload, lines = 1, {"source_sink": False}, ["not source-sink"]',
+        'code, payload, lines = 0, {"source_sink": False}, ["not source-sink"]',
+        ("tests/test_cli.py::test_not_source_sink[orient]",
+         "tests/test_cli.py::test_not_source_sink[circuit]",
+         "tests/test_cli.py::test_not_source_sink[check]"),
+    ),
 )
 
 
 # the exceptions by which a test fails on a check, by class name (any class
 # in the raised exception's MRO)
 CHECKS = frozenset({"AssertionError", "Failed", "InvariantViolation"})
-TIMEOUT_S = 300  # per pytest run; the whole catalogue takes about 20 s
+TIMEOUT_S = 300  # per pytest run; the whole catalogue takes about 45 s
 
 
 def pytest_exception_interact(node, call, report):

@@ -75,15 +75,15 @@ def test_validate_ok(capsys, stg):
 
 def test_validate_reports_violations(capsys, stg):
     path = stg("bad", "stargraph 1 1\nvertex 0 4\nedge 0 0.0 0.1\n")
-    code, out, _ = run(capsys, "validate", path)
-    assert code == 1
-    assert "slot 0.2 never covered" in out
+    assert run(capsys, "validate", path) == \
+        (1, "slot 0.2 never covered\nslot 0.3 never covered\n", "")
+    assert run(capsys, "validate", path, "--json") == (1, (
+        '{"ok": false, "violations": ["slot 0.2 never covered", "slot 0.3 never covered"]}\n'),
+        "")
 
-    code, out, _ = run(capsys, "validate", path, "--json")
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["ok"] is False
-    assert "slot 0.3 never covered" in payload["violations"]
+    path = stg("deg5", "stargraph 1 0\nvertex 0 5\n")
+    assert run(capsys, "validate", path, "--json") == \
+        (1, '{"ok": false, "violations": ["vertex 0 bad degree 5"]}\n', "")
 
 
 def test_parse_error_exit_2(capsys, stg):
@@ -133,12 +133,17 @@ def test_invalid_graph_into_pipeline_exit_2(capsys, stg):
 # --- orient and cover ------------------------------------------------------
 
 def test_orient_frozen(capsys, stg):
-    code, out, _ = run(capsys, "orient", stg("h", ghopf()))
+    path = stg("h", ghopf())
+    code, out, _ = run(capsys, "orient", path)
     assert code == 0
     assert out == ("e0: 0.0 -> 1.2\n"
                    "e1: 1.3 -> 0.1\n"
                    "e2: 0.2 -> 1.0\n"
                    "e3: 1.1 -> 0.3\n")
+
+    assert run(capsys, "orient", path, "--json") == (0, (
+        '{"source_sink": true, "orientation": {"0": ["0.0", "1.2"], "1": ["1.3", "0.1"], '
+        '"2": ["0.2", "1.0"], "3": ["1.1", "0.3"]}}\n'), "")
 
 
 @pytest.mark.parametrize("command", ["orient", "circuit", "diagram", "genus",
@@ -167,6 +172,8 @@ def test_cover_round_trips(capsys, stg, tmp_path):
     code, _, _ = run(capsys, "cover", path, "-o", str(target))
     assert code == 0
     assert parse_stg(target.read_text()) == cov
+    # an empty -o names no file: the text goes to stdout
+    assert run(capsys, "cover", path, "-o", "") == (0, target.read_text(), "")
 
     # the cover is orientable, so the genus command accepts it
     code, out, _ = run(capsys, "genus", str(target))
@@ -201,11 +208,9 @@ def test_genus_text_and_json(capsys, stg):
     assert code == 0
     assert out == "min genus: 0\nranks: 0 0\nwitness: 0=W 1=B\n"
 
-    code, out, _ = run(capsys, "genus", path, "--json")
-    assert code == 0
-    assert json.loads(out) == {
-        "source_sink": True, "n_vertices": 2, "n_chords": 2,
-        "min_genus": 0, "ranks": [0, 0], "witness": {"0": "W", "1": "B"}}
+    assert run(capsys, "genus", path, "--json") == (0, (
+        '{"source_sink": true, "n_vertices": 2, "n_chords": 2, "min_genus": 0, '
+        '"ranks": [0, 0], "witness": {"0": "W", "1": "B"}}\n'), "")
 
 
 @pytest.mark.parametrize("k", [40, 1500])
@@ -236,21 +241,26 @@ def test_genus_on_20_vertex_covers_is_bounded(capsys, stg, seeded_covers, index,
 
 
 def test_planar_exits(capsys, stg):
-    code, out, _ = run(capsys, "planar", stg("h", ghopf()))
-    assert code == 0
-    assert out.startswith("planar: yes")
+    path = stg("h", ghopf())
+    assert run(capsys, "planar", path) == (0, "planar: yes\nwitness: 0=W 1=B\n", "")
+    assert run(capsys, "planar", path, "--json") == \
+        (0, '{"planar": true, "witness": {"0": "W", "1": "B"}}\n', "")
 
-    code, out, _ = run(capsys, "planar", stg("t", gt3c()), "--json")
-    assert code == 1
-    assert json.loads(out) == {"planar": False, "conflict": [0, 1]}
+    path = stg("t", gt3c())
+    assert run(capsys, "planar", path) == (1, "planar: no\nconflict chords: 0 1\n", "")
+    assert run(capsys, "planar", path, "--json") == \
+        (1, '{"planar": false, "conflict": [0, 1]}\n', "")
 
 
 def test_oracle_json(capsys, stg):
-    code, out, _ = run(capsys, "oracle", stg("t", gt3c()), "--json")
-    assert code == 0
-    assert json.loads(out) == {
-        "source_sink": True, "n_vertices": 1, "min_genus": 1,
-        "witness": {"0": 0}, "method": "bruteforce"}
+    path = stg("t", gt3c())
+    assert run(capsys, "oracle", path) == (0, "min genus: 1\nwitness bits: 0=0\n", "")
+    assert run(capsys, "oracle", path, "--json") == (0, (
+        '{"source_sink": true, "n_vertices": 1, "min_genus": 1, "witness": {"0": 0}, '
+        '"method": "bruteforce"}\n'), "")
+    assert run(capsys, "oracle", stg("h", ghopf()), "--json") == (0, (
+        '{"source_sink": true, "n_vertices": 2, "min_genus": 0, "witness": {"0": 0, "1": 0}, '
+        '"method": "bruteforce"}\n'), "")
 
 
 def test_oracle_at_the_default_cap_is_bounded(capsys, stg, seeded_covers):
@@ -363,9 +373,12 @@ def test_threads_below_one_rejected(capsys, stg, value):
 
 
 def test_check_agreement(capsys, stg):
-    code, out, _ = run(capsys, "check", stg("t", gt3c()), "--all-partitions")
+    path = stg("t", gt3c())
+    code, out, _ = run(capsys, "check", path, "--all-partitions")
     assert code == 0
     assert out == "genus: 1\noracle: 1\nagree: yes\npartitions: 2 checked, 0 mismatches\n"
+    assert run(capsys, "check", path, "--json") == \
+        (0, '{"min_genus": 1, "oracle_min_genus": 1, "agree": true}\n', "")
 
     code, out, _ = run(capsys, "check", stg("h", ghopf()), "--json", "--all-partitions")
     assert code == 0
