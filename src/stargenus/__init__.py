@@ -10,7 +10,8 @@ from .core_graph import (Edge, HalfEdgeRef, Orientation, StarGraph, double_cover
                          find_source_sink_orientation, is_source_sink, parse_stg,
                          serialize_stg, validate)
 from .errors import (InvalidGraphError, InvariantViolation, NotSourceSinkError,
-                     OracleCapExceeded, StarGenusError, StgParseError)
+                     OracleCapExceeded, SearchBudgetExceeded, StarGenusError,
+                     StgParseError)
 from .genus import (GenusResult, PermissiblePartition, Pipeline, PlanarityResult,
                     build_pipeline, enumerate_permissible_partitions,
                     genus_of_partition, is_planar, min_genus, rank_pair)

@@ -8,8 +8,9 @@ Exit codes: 0 on success, 1 for clean negative answers (validation
 violations, no source-sink orientation, not planar, check disagreement),
 2 for input problems (unreadable or malformed files, unwritable output
 paths, invalid graphs fed to pipeline commands, unknown fixture names or
-fixtures `gen` cannot build such as `chain(0)`, an invalid `--cap` or
-`STARGENUS_ORACLE_CAP` value, oracle cap exceeded).
+fixtures `gen` cannot build such as `chain(0)`, an invalid `--cap`,
+`STARGENUS_ORACLE_CAP` or `--max-nodes` value, oracle cap or search node
+budget exceeded).
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from pathlib import Path
 from .chords import Chord, Triad
 from .core_graph import (StarGraph, double_cover, parse_stg, require_source_sink,
                          serialize_stg, validate)
-from .errors import (DEFAULT_CAP, InvalidGraphError, NotSourceSinkError,
-                     OracleCapExceeded, StgParseError)
+from .errors import (DEFAULT_CAP, DEFAULT_MAX_NODES, InvalidGraphError,
+                     NotSourceSinkError, OracleCapExceeded, SearchBudgetExceeded,
+                     StgParseError)
 from .genus import (build_pipeline, min_genus_of_pipeline, partition_genera,
                     planarity_of_pipeline, search_genus)
 
@@ -141,7 +143,7 @@ def cmd_diagram(args) -> _Answer:
 
 def cmd_genus(args) -> _Answer:
     pipe = build_pipeline(_load_graph(args.graph))
-    result = min_genus_of_pipeline(pipe)
+    result = min_genus_of_pipeline(pipe, max_nodes=args.max_nodes)
     witness = _witness_json(result.witness.side)
     payload = {
         "source_sink": True,
@@ -189,13 +191,13 @@ def cmd_check(args) -> _Answer:
     from .oracle import coloring_flip, traced_genera
 
     pipe = build_pipeline(_load_graph(args.graph))
-    # the oracle first: it refuses a graph over the cap, and the search,
-    # which has no cap of its own, must not run on such a graph. It traces
+    # the oracle first: it refuses a graph over the cap at once, where the
+    # search would refuse it only once its node budget ran out. It traces
     # the pipeline's orientation, the canonical one it would take itself.
     traced = traced_genera(pipe.graph, pipe.orientation, cap=_resolve_cap(args))
     # pass 1 of the search alone: check prints no witness, so it needs no
     # least one; the leaf pass 1 stopped at must trace to the same genus
-    result = search_genus(pipe)
+    result = search_genus(pipe, max_nodes=DEFAULT_MAX_NODES)
     flip = coloring_flip(pipe)
     oracle_genus = int(traced.min())
     agree = result.min_genus == oracle_genus == int(traced[result.witness.code ^ flip])
@@ -255,8 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("cover", cmd_cover, "write the parity double cover as .stg", output=True)
     add("circuit", cmd_circuit, "print the rotating-splitting Euler circuit")
     add("diagram", cmd_diagram, "print the star chord diagram")
-    add("genus", cmd_genus, "minimal genus over permissible partitions",
-        json_flag=True, threads=True)
+    p_genus = add("genus", cmd_genus, "minimal genus over permissible partitions",
+                  json_flag=True, threads=True)
+    p_genus.add_argument("--max-nodes", type=_int_at_least(0), default=DEFAULT_MAX_NODES,
+                         help=f"node budget for the search (default: {DEFAULT_MAX_NODES})")
     add("planar", cmd_planar, "planarity test with witness or conflict",
         json_flag=True)
     add("oracle", cmd_oracle, "brute-force minimal genus via face tracing",
@@ -291,7 +295,7 @@ def main(argv=None) -> int:
         for line in exc.violations:
             print(f"  {line}", file=sys.stderr)
         return 2
-    except OracleCapExceeded as exc:
+    except (OracleCapExceeded, SearchBudgetExceeded) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     except _FileError as exc:

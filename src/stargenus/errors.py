@@ -4,6 +4,8 @@ from __future__ import annotations
 
 # The vertex cap of the brute-force oracle, which traces 2^n colourings.
 DEFAULT_CAP = 20
+# The node budget of the genus search, a few seconds of it.
+DEFAULT_MAX_NODES = 1_000_000
 
 
 class StarGenusError(Exception):
@@ -32,6 +34,10 @@ class NotSourceSinkError(StarGenusError):
 
 class OracleCapExceeded(StarGenusError):
     """Brute-force enumeration refused: vertex count above the configured cap."""
+
+
+class SearchBudgetExceeded(StarGenusError):
+    """The genus search refused: it needs more nodes than its budget."""
 
 
 class InvariantViolation(StarGenusError):

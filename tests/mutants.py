@@ -48,6 +48,10 @@ class Mutant:
     kills: tuple[str, ...]  # test ids, as pytest prints them, that must fail
 
 
+# the tests that check the prefix walk's witness
+_WALK_TESTS = ("tests/test_genus.py::test_witness_is_least_code_on_covers",
+               "tests/test_genus.py::test_prefix_walk_matches_the_old_pass_and_the_flat_scan")
+
 MUTANTS = (
     Mutant(
         "anchor-visit",
@@ -60,8 +64,8 @@ MUTANTS = (
     Mutant(
         "code-bit",
         "genus.py",
-        "bit = [1 << (n - 1 - k) for k in order]",
-        "bit = [1 << (n - 1 - k) for k in range(n)]",
+        "bit = [0] + [1 << (n - 1 - k) for k in order]",
+        "bit = [0] + [1 << (n - 1 - k) for k in range(len(order))]",
         ("tests/test_genus.py::test_search_genus_finds_the_genus_and_a_leaf_of_it",
          "tests/test_cli.py::test_check_all_partitions_on_a_14_vertex_cover"),
     ),
@@ -135,9 +139,59 @@ MUTANTS = (
     Mutant(
         "no-witness-pass",
         "genus.py",
-        "    if least and order != sorted(order):\n",
+        "    if least and rest != sorted(rest):\n",
         "    if False:\n",
         ("tests/test_genus.py::test_witness_is_least_code_on_covers",),
+    ),
+    Mutant(
+        # a feasibility search for leaves below g finds none, so the walk
+        # keeps every B of pass 1's leaf
+        "walk-best-g",
+        "genus.py",
+        "genus + 1, genus,\n",
+        "genus, genus,\n",
+        _WALK_TESTS,
+    ),
+    Mutant(
+        "walk-leaf-not-adopted",
+        "genus.py",
+        "                leaf = found\n",
+        "                pass\n",
+        _WALK_TESTS,
+    ),
+    Mutant(
+        # the least code in coupling order is not the least in vertex order
+        "walk-coupling-order",
+        "genus.py",
+        "        for k in range(n):\n"
+        "            bit = 1 << (n - 1 - k)\n"
+        "            if not leaf[1] & (2 * bit - 1):\n"
+        "                break  # the completion has W from here on\n"
+        "            on_w = (code, _place(white, chords_w[k]), _place(black, chords_b[k]))\n"
+        "            if leaf[1] & bit:\n"
+        "                found = self.run(on_w, [p for p in order if p > k], genus + 1, genus,\n",
+        "        for at, k in enumerate(order):\n"
+        "            bit = 1 << (n - 1 - k)\n"
+        "            on_w = (code, _place(white, chords_w[k]), _place(black, chords_b[k]))\n"
+        "            if leaf[1] & bit:\n"
+        "                found = self.run(on_w, order[at + 1:], genus + 1, genus,\n",
+        _WALK_TESTS,
+    ),
+    Mutant(
+        # each run starts from the whole budget, so pass 1's nodes and the
+        # walk's are not added up
+        "budget-not-shared",
+        "genus.py",
+        "        self.left = left\n        return found\n",
+        "        return found\n",
+        ("tests/test_genus.py::test_node_budget_counts_every_search_of_a_call",),
+    ),
+    Mutant(
+        "check-without-budget",
+        "cli.py",
+        "search_genus(pipe, max_nodes=DEFAULT_MAX_NODES)",
+        "search_genus(pipe, max_nodes=None)",
+        ("tests/test_cli.py::test_genus_and_check_search_under_the_default_budget",),
     ),
     Mutant(
         "json-ignored",
@@ -167,7 +221,7 @@ MUTANTS = (
 # the exceptions by which a test fails on a check, by class name (any class
 # in the raised exception's MRO)
 CHECKS = frozenset({"AssertionError", "Failed", "InvariantViolation"})
-TIMEOUT_S = 300  # per pytest run; the whole catalogue takes about 45 s
+TIMEOUT_S = 300  # per pytest run; the whole catalogue takes about a minute
 
 
 def pytest_exception_interact(node, call, report):

@@ -14,9 +14,10 @@ import pytest
 from stargenus import cli, core_graph
 from stargenus.cli import build_parser, main
 from stargenus.core_graph import parse_stg, serialize_stg, validate
+from stargenus.errors import DEFAULT_MAX_NODES
 from stargenus.fixtures import chain, ghopf, gt3c
-from stargenus.genus import (_search, build_pipeline, min_genus, partition_from_code,
-                             search_genus)
+from stargenus.genus import (_coupling_order, _Search, _side_chords, build_pipeline, min_genus,
+                             partition_from_code, search_genus)
 
 
 @pytest.fixture()
@@ -341,7 +342,7 @@ def test_check_refuses_an_over_cap_graph_before_it_searches(capsys, stg, connect
     refused = "refused: 60 vertices exceeds the enumeration cap 20\n"
     assert run_within(10, capsys, "check", path) == (2, "", refused)
 
-    def refuse(pipe):
+    def refuse(pipe, max_nodes):
         raise AssertionError("check searched a graph over the cap")
 
     monkeypatch.setattr(cli, "search_genus", refuse)
@@ -359,6 +360,55 @@ def test_a_cap_past_the_oracles_memory_refuses(capsys, stg, connected_sums, monk
     monkeypatch.setenv("STARGENUS_ORACLE_CAP", "100")
     for cmd in ("oracle", "check"):
         assert run_within(10, capsys, cmd, path) == (2, "", refused), cmd
+
+
+def test_genus_refuses_past_its_node_budget(capsys, stg, connected_sums, seeded_covers):
+    # 60 vertices: the search runs without end on this sum, so a budget
+    # refuses it, in text and JSON alike
+    path = stg("s", connected_sums(3, 2, 6))
+    refused = "refused: genus search exceeds the node budget 1000\n"
+    for argv in (["--max-nodes", "1000"], ["--json", "--max-nodes", "1000"]):
+        assert run_within(10, capsys, "genus", path, *argv) == (2, "", refused), argv
+
+    # this 14-vertex cover needs more than 10 nodes and fewer than 100000
+    cover = stg("c", seeded_covers((7,))[0])
+    assert run(capsys, "genus", cover, "--max-nodes", "10") == (
+        2, "", "refused: genus search exceeds the node budget 10\n")
+    code, out, _ = run(capsys, "genus", cover, "--max-nodes", "100000")
+    assert code == 0 and out.startswith("min genus: 5\n")
+
+
+def test_genus_and_check_search_under_the_default_budget(capsys, stg, monkeypatch):
+    # genus without --max-nodes, and check, which has no flag for it, pass
+    # DEFAULT_MAX_NODES to the search
+    path = stg("h", ghopf())
+    budgets = []
+
+    def recorded(name, original):
+        def call(pipe, max_nodes):
+            budgets.append((name, max_nodes))
+            return original(pipe, max_nodes=max_nodes)
+        monkeypatch.setattr(cli, name, call)
+
+    recorded("min_genus_of_pipeline", cli.min_genus_of_pipeline)
+    recorded("search_genus", cli.search_genus)
+    for cmd in ("genus", "check"):
+        assert run(capsys, cmd, path)[0] == 0, cmd
+    assert budgets == [("min_genus_of_pipeline", DEFAULT_MAX_NODES),
+                       ("search_genus", DEFAULT_MAX_NODES)]
+
+
+def test_max_nodes_below_zero_rejected(capsys, stg):
+    path = stg("h", ghopf())
+    for value in ("-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["genus", path, "--max-nodes", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --max-nodes: must be an integer of at least 0, got '{value}'" in err
+    # zero is a valid budget that refuses every graph
+    assert run(capsys, "genus", path, "--max-nodes", "0") == (
+        2, "", "refused: genus search exceeds the node budget 0\n")
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
@@ -398,30 +448,37 @@ def test_check_all_partitions_on_a_14_vertex_cover(capsys, stg, seeded_covers):
 
 def test_check_runs_one_search_and_never_the_witness_pass(capsys, stg, seeded_covers,
                                                          monkeypatch):
-    # check prints no witness, so it runs pass 1 alone; genus still runs both
+    # check prints no witness, so it runs pass 1 alone and never the prefix
+    # walk; genus, on this cover whose coupling order is not ascending,
+    # walks once
     g = seeded_covers((7,))[0]
     path = stg("c", g)
-    orders = []
+    pipe = build_pipeline(g)
+    chords_w, chords_b = _side_chords(pipe.diagram, sorted(g.vertices))
+    assert _coupling_order(chords_w, chords_b, pipe.linked) != list(range(14))
+    calls = []
 
-    def counted(rows, chords_w, chords_b, order, best, floor):
-        orders.append(order)
-        return _search(rows, chords_w, chords_b, order, best, floor)
+    def counted(name):
+        def call(self, *args, original=getattr(_Search, name)):
+            calls.append(name)
+            return original(self, *args)
+        monkeypatch.setattr(_Search, name, call)
 
-    monkeypatch.setattr("stargenus.genus._search", counted)
+    counted("run")
+    counted("least_leaf")
     for argv, expected in (
             ([], "genus: 5\noracle: 5\nagree: yes\n"),
             (["--json"], '{"min_genus": 5, "oracle_min_genus": 5, "agree": true}\n'),
             (["--all-partitions"], "genus: 5\noracle: 5\nagree: yes\n"
                                    "partitions: 16384 checked, 0 mismatches\n")):
-        orders.clear()
+        calls.clear()
         assert run_within(10, capsys, "check", path, *argv) == (0, expected, ""), argv
-        assert len(orders) == 1, argv
+        assert calls == ["run"], argv
 
-    orders.clear()
+    calls.clear()
     code, out, _ = run(capsys, "genus", path)
     assert code == 0 and out.startswith("min genus: 5\n")
-    coupling, ascending = orders
-    assert coupling != ascending == list(range(14))
+    assert calls[:2] == ["run", "least_leaf"] and calls.count("least_leaf") == 1
 
 
 def test_check_reports_a_wrong_search_genus_or_leaf(capsys, stg, seeded_covers, monkeypatch):
@@ -434,7 +491,7 @@ def test_check_reports_a_wrong_search_genus_or_leaf(capsys, stg, seeded_covers, 
     all_white = partition_from_code(pipe.diagram, sorted(g.vertices), 0)
     for wrong, shown in ((dataclasses.replace(right, min_genus=4), 4),
                          (dataclasses.replace(right, witness=all_white), 3)):
-        monkeypatch.setattr(cli, "search_genus", lambda pipe, wrong=wrong: wrong)
+        monkeypatch.setattr(cli, "search_genus", lambda pipe, max_nodes, wrong=wrong: wrong)
         assert run(capsys, "check", path) == (1, f"genus: {shown}\noracle: 3\nagree: NO\n", "")
         assert run(capsys, "check", path, "--json") == (
             1, f'{{"min_genus": {shown}, "oracle_min_genus": 3, "agree": false}}\n', "")

@@ -8,14 +8,15 @@ import random
 
 import pytest
 
-from stargenus.errors import InvalidGraphError, InvariantViolation, NotSourceSinkError
+from stargenus.errors import (InvalidGraphError, InvariantViolation, NotSourceSinkError,
+                              SearchBudgetExceeded)
 from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx
-from stargenus.genus import (_coupling_order, _lookahead, _search, _side_chords, build_pipeline,
-                             enumerate_permissible_partitions, genus_of_partition,
-                             is_planar, min_genus, min_genus_of_pipeline,
-                             partition_from_code, planarity_of_pipeline, rank_pair,
-                             search_genus)
-from stargenus.gf2 import BitMatrix, masked_rank
+from stargenus.genus import (_coupling_order, _lookahead, _place, _Search, _side_chords,
+                             build_pipeline, enumerate_permissible_partitions,
+                             genus_of_partition, is_planar, min_genus, min_genus_of_pipeline,
+                             partition_from_code, partition_genera, planarity_of_pipeline,
+                             rank_pair, search_genus)
+from stargenus.gf2 import BitMatrix, SymplecticBasis, masked_rank
 from stargenus.oracle import coloring_flip, traced_genera
 from stargenus.union_find import ParityUnionFind
 
@@ -166,12 +167,30 @@ def test_lookahead_is_the_least_extra_over_all_placements():
                       for density in (rng.random() / 2, rng.random() / 2))
         start = rng.randrange(len(mask_w))  # vertices before it are placed
         rest = list(zip(mask_w[start:], mask_b[start:]))
+        linked = None
+        for mw, mb in reversed(rest):
+            linked = (mw, mb, linked)
         # each placement sends (to white, to black): (mw, mb) on W, (mb, mw) on B
         extra = min(any(w & up_w for w, _ in placement) + any(b & up_b for _, b in placement)
                     for placement in itertools.product(*[[(mw, mb), (mb, mw)]
                                                          for mw, mb in rest]))
         for cap in (1, 2, 3):
-            assert _lookahead(up_w, up_b, rest, cap) == min(extra, cap)
+            assert _lookahead(up_w, up_b, linked, cap) == min(extra, cap)
+
+
+def _core(pipe, placed: dict[int, str], order, best, floor, prefer=0):
+    """`_Search.run` from the start with each position in `placed` on its
+    side and the positions in `order` unplaced, with no node budget."""
+    rows, chords_w, chords_b = _search_inputs(pipe)
+    n = len(chords_w)
+    code, white, black = 0, SymplecticBasis(rows), SymplecticBasis(rows)
+    for k, side in placed.items():
+        on_b = side == "B"
+        code |= on_b << (n - 1 - k)
+        white = _place(white, chords_b[k] if on_b else chords_w[k])
+        black = _place(black, chords_w[k] if on_b else chords_b[k])
+    return _Search(chords_w, chords_b, None).run((code, white, black), list(order),
+                                                 best, floor, prefer)
 
 
 def test_genus_is_the_same_in_any_search_order(random_corpus, seeded_covers):
@@ -183,9 +202,94 @@ def test_genus_is_the_same_in_any_search_order(random_corpus, seeded_covers):
         n = len(chords_w)
         orders = [_coupling_order(chords_w, chords_b, pipe.linked), list(range(n))]
         orders += [rng.sample(range(n), n) for _ in range(5)]
-        genera = {_search(rows, chords_w, chords_b, order, len(rows), 0)[0]
+        genera = {_core(pipe, {order[0]: "W"}, order[1:], len(rows), 0)[0]
                   for order in orders}
         assert genera == {min_genus_of_pipeline(pipe).min_genus}
+
+
+def test_core_from_a_fixed_prefix_matches_brute_force(random_corpus, seeded_covers):
+    # placed vertices, on either side and in any positions, restrict the
+    # leaves to the codes that agree with them: the core finds their least
+    # genus, and in ascending order, with best = g + 1 and floor = g, their
+    # least code of genus g, or with any side tried first some leaf of genus g
+    rng = random.Random(2026)
+    checked = 0
+    for g in random_corpus[::5] + seeded_covers((2, 3, 4, 5)):
+        pipe = build_pipeline(g)
+        rows = pipe.matrix.rows
+        n = g.n_vertices
+        genera = [genus_of_partition(pipe.matrix, part)
+                  for part in enumerate_permissible_partitions(pipe.diagram)]
+        for _ in range(4):
+            fixed = sorted(rng.sample(range(n), rng.randint(0, n)))
+            if rng.random() < 0.5:
+                fixed = list(range(len(fixed)))  # a prefix in vertex order
+            placed = {k: rng.choice("WB") for k in fixed}
+            rest = [k for k in range(n) if k not in placed]
+            agrees = [c for c in range(1 << n)
+                      if all((c >> (n - 1 - k) & 1) == (side == "B")
+                             for k, side in placed.items())]
+            least = min(genera[c] for c in agrees)
+            found = _core(pipe, placed, rng.sample(rest, len(rest)), len(rows) + 1, 0)
+            assert found[0] == least and found[1] in agrees
+            assert genera[found[1]] == least
+            assert rank_pair(pipe.matrix, partition_from_code(
+                pipe.diagram, sorted(g.vertices), found[1])) == found[2:]
+            first = min(c for c in agrees if genera[c] == least)
+            assert _core(pipe, placed, rest, least + 1, least)[1] == first
+            prefer = rng.randrange(1 << n)
+            found = _core(pipe, placed, rng.sample(rest, len(rest)), least + 1, least, prefer)
+            assert found[1] in agrees and genera[found[1]] == least
+            assert _core(pipe, placed, rest, least, 0) is None
+            checked += 1
+    assert checked == 4 * (len(random_corpus[::5]) + 4)
+
+
+def test_prefix_walk_matches_the_old_pass_and_the_flat_scan(small_source_sink, seeded_covers,
+                                                            connected_sums):
+    # the walk's witness and ranks against the ascending pass it replaced
+    # (vertex 0 on W, the rest in ascending order, best = g + 1, floor = g)
+    # and the least code of the flat table of every partition's genus
+    sums = [connected_sums(*blocks) for blocks in ((1, 1, 2), (1, 1, 3), (2, 1, 2), (2, 1, 3))]
+    walked = 0
+    for g in small_source_sink + seeded_covers(range(1, 10)) + sums:
+        pipe = build_pipeline(g)
+        rows, chords_w, chords_b = _search_inputs(pipe)
+        n = len(chords_w)
+        result = min_genus_of_pipeline(pipe)
+        genus = result.min_genus
+        old = _core(pipe, {0: "W"}, range(1, n), genus + 1, genus)
+        assert (result.witness.code, *result.ranks) == old[1:]
+        genera = partition_genera(pipe).tolist()
+        assert result.witness.code == genera.index(genus) and min(genera) == genus
+        walked += _coupling_order(chords_w, chords_b, pipe.linked) != list(range(n))
+    assert walked >= 10
+
+
+def test_node_budget_counts_every_search_of_a_call(seeded_covers):
+    # a call makes at most max_nodes nodes over pass 1 and the prefix walk
+    # together, and gives the unbounded answer whenever it is not refused
+    def least_budget(search, pipe):
+        low, high = 1, 10 ** 6
+        while low < high:
+            mid = (low + high) // 2
+            try:
+                search(pipe, max_nodes=mid)
+                high = mid
+            except SearchBudgetExceeded:
+                low = mid + 1
+        return low
+
+    for g in seeded_covers((5, 6, 7)):
+        pipe = build_pipeline(g)
+        first = least_budget(search_genus, pipe)
+        both = least_budget(min_genus_of_pipeline, pipe)
+        assert both > first  # the walk's nodes come on top of pass 1's
+        for search, nodes in ((search_genus, first), (min_genus_of_pipeline, both)):
+            assert search(pipe, max_nodes=nodes) == search(pipe)
+            with pytest.raises(SearchBudgetExceeded,
+                               match=f"^genus search exceeds the node budget {nodes - 1}$"):
+                search(pipe, max_nodes=nodes - 1)
 
 
 def test_min_genus_matches_oracle_on_covers(cover_pipes):
@@ -205,7 +309,7 @@ def test_witness_is_least_code_on_covers(cover_pipes):
         _, chords_w, chords_b = _search_inputs(pipe)
         if _coupling_order(chords_w, chords_b, pipe.linked) != list(range(len(chords_w))):
             reordered += 1
-    assert reordered == len(cover_pipes)  # so the second pass ran on every cover
+    assert reordered == len(cover_pipes)  # so the prefix walk ran on every cover
 
 
 def test_search_cross_checks_witness_ranks():

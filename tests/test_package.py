@@ -22,7 +22,7 @@ PUBLIC_NAMES = (
     "Edge", "HalfEdgeRef", "Orientation", "StarGraph", "double_cover",
     "find_source_sink_orientation", "is_source_sink", "parse_stg", "serialize_stg", "validate",
     "InvalidGraphError", "InvariantViolation", "NotSourceSinkError", "OracleCapExceeded",
-    "StarGenusError", "StgParseError",
+    "SearchBudgetExceeded", "StarGenusError", "StgParseError",
     "GenusResult", "PermissiblePartition", "Pipeline", "PlanarityResult", "build_pipeline",
     "enumerate_permissible_partitions", "genus_of_partition", "is_planar", "min_genus",
     "rank_pair",
