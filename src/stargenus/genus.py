@@ -199,10 +199,10 @@ def partition_genera(pipe: Pipeline) -> np.ndarray:
     still to come is equal gain the same rank from every completion, so
     they merge into one state, and a level has as many states as there are
     distinct residual keys rather than 2^k. Each code carries its state id
-    and its white rank so far through numpy arrays, which place the new
-    vertex's bit where its vertex id ranks among the placed ones, so the
-    codes stay in ascending vertex order. The ranks are twice a pair count,
-    so the sums are even.
+    and its white rank so far through numpy arrays, which append the new
+    vertex's bit as the lowest, and one transpose at the end puts the codes
+    in ascending vertex order. The ranks are twice a pair count, so the
+    sums are even.
     """
     import numpy as np
 
@@ -212,8 +212,8 @@ def partition_genera(pipe: Pipeline) -> np.ndarray:
     # per code: its state's id and its white rank so far
     lane = np.zeros(1, dtype=np.int32)
     rank = np.zeros(1, dtype=np.int16)
-    placed = 0  # bitmask of the vertex positions placed so far
-    for k in _coupling_order(chords_w, chords_b, pipe.linked):
+    order = _coupling_order(chords_w, chords_b, pipe.linked)
+    for k in order:
         live &= ~_mask(chords_w[k] + chords_b[k])
         index: dict[tuple, int] = {}
         children: list[SymplecticBasis] = []
@@ -229,16 +229,13 @@ def partition_genera(pipe: Pipeline) -> np.ndarray:
                     children.append(grown)
                 child.append(c)
                 gain.append(grown.rank - basis.rank)
-        # a code so far is big-endian over the placed vertices in ascending
-        # order, so k's bit goes between those placed before k and after it
-        after = 1 << (placed >> k).bit_count()
-        shape = (len(lane) // after, after, 2)
-        gain_of = np.array(gain, dtype=np.int16).reshape(-1, 2)[lane].reshape(shape)
-        child_of = np.array(child, dtype=np.int32).reshape(-1, 2)[lane].reshape(shape)
-        rank = (rank.reshape(shape[0], after, 1) + gain_of).transpose(0, 2, 1).ravel()
-        lane = child_of.transpose(0, 2, 1).ravel()
+        # k's bit is the lowest: a code so far is big-endian in placing order
+        gain_of = np.array(gain, dtype=np.int16).reshape(-1, 2)
+        rank = (rank[:, None] + gain_of[lane]).ravel()
+        lane = np.array(child, dtype=np.int32).reshape(-1, 2)[lane].ravel()
         states = children
-        placed |= 1 << k
+    # axis i holds the bit of order[i]; put the axes in ascending vertex order
+    rank = rank.reshape((2,) * len(order)).transpose(np.argsort(order)).ravel()
     return ((rank + rank[::-1]) // 2).astype(np.int8)
 
 

@@ -17,13 +17,14 @@ either colour bit of the vertex the face passes through. `trace_faces`
 walks those tables for one colouring, through `_count_faces`, which callers
 that trace many colourings give tables built once. `traced_genera` builds
 them once per graph and counts the faces of half the colourings at once,
-those in which the last vertex (by ascending id) has bit 0, vertex by
-vertex: fixing a vertex's colour bit adds the links out of its face slots,
-and a table of open path segments per colouring tells which link closes a
-face. Swapping every colour keeps the genus, so the other half are read
-off the traced half. Both turn face counts into genera by one rule,
-`_genera_of_faces`. Colourings that share a vertex prefix share its links,
-and both bits of a vertex link the same slots in one pass, so each traced
+those in which the last vertex (by ascending id) has bit 0, in one
+recursion over the vertices from the last one down: fixing a vertex's
+colour bit adds the links out of its face slots, and a table of open path
+segments per colouring tells which link closes a face. Swapping every
+colour keeps the genus, so the other half are read off the traced half.
+Both turn face counts into genera by one rule, `_genera_of_faces`.
+Colourings that agree on the vertices done so far share their links, and
+both bits of a vertex link the same slots in one pass, so each traced
 colouring costs about two vertices' links instead of a walk over all its
 edges, and the table keeps only the slots of the vertices not yet done.
 """
@@ -41,14 +42,15 @@ from .errors import DEFAULT_CAP, InvariantViolation, OracleCapExceeded
 if TYPE_CHECKING:  # annotations only: the oracle runs on core_graph alone
     from .genus import Pipeline, PermissiblePartition
 
-# Colourings per block, a power of two. The low log2(BLOCK) vertices are
-# expanded once into a table that every block of codes starts from. Vertex
-# n - 1, the lowest code bit, keeps bit 0, so the table has BLOCK / 2 rows,
-# one per even code of the block. A block's two segment tables take at most
-# BLOCK / 2 x 2m bytes and shrink as vertices are done. On 18-20 vertex
-# graphs (2 shared vCPUs) 4,096 beat 2,048 in all six runs, by 16-49%, and
-# was within noise of 8,192; on 12-14 vertices the sizes tie. The
-# tracemalloc peak on an 18-vertex cover is 0.85 MB.
+# Colourings per block, a power of two. From vertex n - 1 down, each vertex
+# doubles the table's rows until it has BLOCK / 2, one per even code of a
+# block (vertex n - 1, the lowest code bit, keeps bit 0); each vertex after
+# that branches on its bit, and each leaf of the branching is one block. A
+# block's two segment tables take at most BLOCK / 2 x 2m bytes and shrink as
+# vertices are done. On 18-20 vertex graphs (2 shared vCPUs) 4,096 beat
+# 2,048 in all six runs, by 16-49%, and was within noise of 8,192; on 12-14
+# vertices the sizes tie. The tracemalloc peak on an 18-vertex cover is
+# 0.94 MB, the 256 KB genera array included.
 BLOCK = 4096
 
 
@@ -218,21 +220,15 @@ def traced_genera(g: StarGraph, orientation: Orientation,
     m = len(t.head)
     succ = [t.white[c] + tuple(m + e for e in t.black[c]) for c in (0, 1)]
     owner = t.head + t.tail  # white slots [0, m) at heads, black slots [m, 2m) at tails
-    low = min(n, BLOCK.bit_length() - 1)
-    high = n - low
-    # the step at which each vertex is done: the low vertices from the last
-    # one down, then the high ones in ascending order
-    step = [low + v if v < high else n - 1 - v for v in range(n)]
-
     # A slot is an open end until its own vertex is done, and an open start
     # until the vertex of its predecessor is. A face enters a vertex at a head
     # and leaves it at a tail, so a white slot's predecessor is at the slot's
-    # tail and a black slot's at its head. Ranking both kinds latest vertex
-    # first keeps the open ends and the open starts a prefix, of equal width,
-    # so the tables shrink to it as vertices are done.
+    # tail and a black slot's at its head. The vertices are done from n - 1
+    # down, so ranking both kinds by ascending vertex keeps the open ends and
+    # the open starts a prefix, of equal width, and the tables shrink to it.
     def latest_first(vertex_of: tuple[int, ...]) -> list[int]:
         rank = [0] * (2 * m)
-        for i, s in enumerate(sorted(range(2 * m), key=lambda s: -step[vertex_of[s]])):
+        for i, s in enumerate(sorted(range(2 * m), key=vertex_of.__getitem__)):
             rank[s] = i
         return rank
 
@@ -253,37 +249,34 @@ def traced_genera(g: StarGraph, orientation: Orientation,
     start[0, as_end] = as_start  # every slot is a segment of its own
     end[0, as_start] = as_end
     faces = np.zeros(1, dtype=np.int16)  # faces <= 2m < 2^15
-    # Vertex n - 1 keeps bit 0 (see the docstring). Each further low vertex
-    # doubles the rows into its bit-0 half and its bit-1 half, so row r has
-    # the low code bits 2r.
+    # Vertex n - 1 keeps bit 0 (see the docstring).
     _add_links(start, end, faces, ends[n - 1], targets[n - 1][:, :1])
-    width -= len(slots_at[n - 1])
-    for k in range(n - 2, high - 1, -1):
-        rows = len(faces)
-        start, end = (np.concatenate([a[:, :width]] * 2) for a in (start, end))
-        faces = np.concatenate([faces, faces])
-        _add_links(start, end, faces, ends[k], np.repeat(targets[k], rows, axis=1))
-        width -= len(slots_at[k])
-
-    # Each high vertex fixes one bit per level of a depth-first walk over the
-    # blocks that starts from the low table, so blocks with a common high
-    # prefix share its links.
     even = genera[0::2]
-    rows = len(faces)
 
-    def descend(k: int, prefix: int, start: np.ndarray, end: np.ndarray,
-                faces: np.ndarray, width: int) -> None:
-        if k == high:
-            even[prefix * rows:(prefix + 1) * rows] = _genera_of_faces(faces, n, m)
+    def walk(k: int, code: int, start: np.ndarray, end: np.ndarray,
+             faces: np.ndarray, width: int) -> None:
+        # vertices k to 0 are left; row r of the tables holds the bits of
+        # code + 2r above k, and only their first `width` columns are open
+        if k < 0:
+            even[code >> 1:(code >> 1) + len(faces)] = _genera_of_faces(faces, n, m)
             return
+        rows = len(faces)
+        if rows < BLOCK // 2:
+            # the bit-0 half, then the bit-1 half: the bit tops the row index
+            start, end = (np.concatenate([a[:, :width]] * 2) for a in (start, end))
+            faces = np.concatenate([faces, faces])
+            _add_links(start, end, faces, ends[k], np.repeat(targets[k], rows, axis=1))
+            walk(k - 1, code, start, end, faces, width - len(slots_at[k]))
+            return
+        # a full table branches: bit 0 works on trimmed copies, bit 1 takes
+        # over its parent's tables
         for bit in (0, 1):
-            # bit 0 works on trimmed copies; bit 1 takes over its parent's tables
             tables = (start[:, :width].copy(), end[:, :width].copy(), faces.copy()) \
                 if bit == 0 else (start, end, faces)
             _add_links(*tables, ends[k], targets[k][:, bit:bit + 1])
-            descend(k + 1, prefix << 1 | bit, *tables, width - len(slots_at[k]))
+            walk(k - 1, code | bit << (n - 1 - k), *tables, width - len(slots_at[k]))
 
-    descend(0, 0, start, end, faces, width)
+    walk(n - 2, 0, start, end, faces, width - len(slots_at[n - 1]))
     genera[1::2] = even[::-1]  # code 2^n - 1 - c swaps every colour of c
     return genera
 

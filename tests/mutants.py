@@ -88,6 +88,15 @@ MUTANTS = (
         ("tests/test_oracle.py::test_traced_genera_match_trace_faces",),
     ),
     Mutant(
+        # each branch's leaves are written to its sibling's blocks
+        "branch-bit-swapped",
+        "oracle.py",
+        "code | bit << (n - 1 - k)",
+        "code | (1 - bit) << (n - 1 - k)",
+        ("tests/test_oracle.py::test_traced_genera_match_trace_faces",
+         "tests/test_oracle.py::test_partition_genera_match_the_flat_scan_and_the_oracle"),
+    ),
+    Mutant(
         # every vertex index read in reverse: vertex 0's bit is the fixed
         # one, and the odd codes are still filled from the even ones
         "vertex-0-fixed",
@@ -98,6 +107,16 @@ MUTANTS = (
         "    t = dataclasses.replace(t, head=tuple(n - 1 - v for v in t.head),\n"
         "                            tail=tuple(n - 1 - v for v in t.tail))\n",
         ("tests/test_oracle.py::test_traced_genera_match_trace_faces",),
+    ),
+    Mutant(
+        # the inverse of the right axis permutation, which differs from it
+        # whenever the coupling order is not its own inverse
+        "transpose-by-order",
+        "genus.py",
+        ".transpose(np.argsort(order))",
+        ".transpose(order)",
+        ("tests/test_oracle.py::test_partition_genera_match_the_flat_scan_and_the_oracle",
+         "tests/test_genus.py::test_prefix_walk_matches_the_old_pass_and_the_flat_scan"),
     ),
     Mutant(
         "raisers-always-0",

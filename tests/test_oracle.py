@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from stargenus import cli
-from stargenus.core_graph import (Edge, HalfEdgeRef, StarGraph, find_source_sink_orientation,
-                                  require_source_sink, serialize_stg)
+from stargenus.core_graph import (Edge, HalfEdgeRef, StarGraph, double_cover,
+                                  find_source_sink_orientation, require_source_sink,
+                                  serialize_stg)
 from stargenus.errors import NotSourceSinkError, OracleCapExceeded
-from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx
+from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx, random_star_graph
 from stargenus.genus import (build_pipeline, enumerate_permissible_partitions,
                              genus_of_partition, min_genus, min_genus_of_pipeline,
                              partition_genera)
@@ -213,28 +214,36 @@ def test_min_genus_agrees_with_bruteforce(random_corpus):
 
 def test_traced_genera_match_trace_faces(small_source_sink, random_corpus, seeded_covers,
                                          edge_swap_sum):
-    # the 14-vertex cover has four blocks of codes, so the walk over the
-    # high bits fixes two vertices and every block boundary is covered;
-    # chain(13) has two blocks, so the walk fixes exactly one. On chain(k)
-    # the odd codes come out right even when filled without the reversal,
-    # or when vertex 0's bit is fixed instead of vertex n - 1's; on the
-    # 13-vertex sum of chain(1) and a 12-vertex cover, in that order, both
-    # faults show (with the cover first, vertex n - 1 is chain(1)'s, whose
-    # colour never changes the genus, and the first one passes)
+    # the 14-vertex cover has four blocks of codes, so the recursion branches
+    # on two vertices and every block boundary is covered; the 16-vertex
+    # cover of random(1,4,4) has sixteen, so it branches on four, and a
+    # seeded sample of each block is checked; chain(13) has two blocks, so
+    # it branches on exactly one. On chain(k) the odd codes come out right
+    # even when filled without the reversal, or when vertex 0's bit is fixed
+    # instead of vertex n - 1's; on the 13-vertex sum of chain(1) and a
+    # 12-vertex cover, in that order, both faults show (with the cover first,
+    # vertex n - 1 is chain(1)'s, whose colour never changes the genus, and
+    # the first one passes)
     covers = seeded_covers((3, 4, 5, 6))
     many_blocks = seeded_covers((7,))[0]
+    four_branch_levels = double_cover(random_star_graph(1, 4, 4))
     one_high_bit = edge_swap_sum([chain(1), covers[-1]])
     assert 1 << many_blocks.n_vertices >= 4 * BLOCK
+    assert 1 << four_branch_levels.n_vertices == 16 * BLOCK
     assert 1 << 13 == 2 * BLOCK == 1 << one_high_bit.n_vertices
+    rng = random.Random(20121223)
     for g in (small_source_sink + random_corpus[:40] + covers
-              + [chain(12), chain(13), one_high_bit, many_blocks]):
+              + [chain(12), chain(13), one_high_bit, many_blocks, four_branch_levels]):
         orientation = find_source_sink_orientation(g)
         tables = _successor_tables(g, orientation)
         n = g.n_vertices
         verts = sorted(g.vertices)
         genera = traced_genera(g, orientation, cap=None)
         assert len(genera) == 1 << n
-        for code in range(1 << n):
+        codes = range(1 << n) if g is not four_branch_levels else \
+            [c for block in range(0, 1 << n, BLOCK)
+             for c in sorted(rng.sample(range(block, block + BLOCK), 128))]
+        for code in codes:
             bits = {v: (code >> (n - 1 - k)) & 1 for k, v in enumerate(verts)}
             assert genera[code] == _count_faces(tables, AtomColoring(bits)).genus
 
@@ -265,8 +274,8 @@ def test_swapping_every_colour_keeps_the_traced_genus(small_source_sink, random_
 def test_traced_genera_working_set_is_bounded(seeded_covers):
     # 2^18 colourings of a graph with 2m = 88 face slots: a segment-table
     # row of all 88 slots per code would take 46 MB, and one block of all
-    # codes with rows trimmed to the open slots about 5 MB; the kernel keeps
-    # one table pair per level of its walk over the high bits
+    # codes with rows trimmed to the open slots about 5 MB; the recursion
+    # keeps one table pair per level, of at most BLOCK / 2 rows
     g = seeded_covers((9,))[0]
     assert g.n_vertices == 18
     tracemalloc.start()
