@@ -89,7 +89,7 @@ def build_star_chord_diagram(g: StarGraph, circuit: EulerCircuit,
                              classes: dict[int, VertexClass]) -> StarChordDiagram:
     """Read the attachments off the circuit, one per vertex."""
     attachments: list[Attachment] = []
-    for v in sorted(g.vertices):
+    for v in g.vertices:
         pos = circuit.positions[v]
         cls = classes[v]
         if cls.kind == "rotating4":

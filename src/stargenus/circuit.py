@@ -99,26 +99,28 @@ def classify_local(degree: int, transition: dict[int, int]) -> str:
     return INVALID
 
 
-def _walk_maps(orientation: Orientation):
-    """head ref per edge, arriving edge per (v, in_slot), departing edge per (v, out_slot)."""
+def _walk_maps(g: StarGraph, orientation: Orientation):
+    """head ref per edge (in ascending edge id order), arriving edge per
+    (v, in_slot), departing edge per (v, out_slot)."""
     head_ref: dict[int, HalfEdgeRef] = {}
     arrive: dict[tuple[int, int], int] = {}
     depart: dict[tuple[int, int], int] = {}
-    for eid, (tail, head) in orientation.direction.items():
-        head_ref[eid] = head
-        arrive[(head.vertex, head.slot)] = eid
-        depart[(tail.vertex, tail.slot)] = eid
+    for e in g.edges:
+        tail, head = orientation.direction[e.id]
+        head_ref[e.id] = head
+        arrive[(head.vertex, head.slot)] = e.id
+        depart[(tail.vertex, tail.slot)] = e.id
     return head_ref, arrive, depart
 
 
 def _plus_one(g: StarGraph, arrive: dict[tuple[int, int], int]) -> dict[int, dict[int, int]]:
     return {v: {s: (s + 1) % d for s in range(d) if (v, s) in arrive}
-            for v, d in sorted(g.vertices.items())}
+            for v, d in g.vertices.items()}
 
 
 def initial_transition_system(g: StarGraph, orientation: Orientation) -> TransitionSystem:
     """The canonical starting point: in-slot i exits at slot (i + 1) mod d."""
-    return TransitionSystem(_plus_one(g, _walk_maps(orientation)[1]))
+    return TransitionSystem(_plus_one(g, _walk_maps(g, orientation)[1]))
 
 
 def _trace(head_ref: dict[int, HalfEdgeRef], depart: dict[tuple[int, int], int],
@@ -127,7 +129,7 @@ def _trace(head_ref: dict[int, HalfEdgeRef], depart: dict[tuple[int, int], int],
     Each starts at its lowest edge id, and they are listed by that id."""
     seen: set[int] = set()
     cycles: list[tuple[int, ...]] = []
-    for start in sorted(head_ref):
+    for start in head_ref:
         if start in seen:
             continue
         walk = []
@@ -150,7 +152,7 @@ def cycles_of(g: StarGraph, orientation: Orientation,
     Deterministic: each cycle starts at its lowest edge id and cycles are
     listed by that id in ascending order.
     """
-    head_ref, _, depart = _walk_maps(orientation)
+    head_ref, _, depart = _walk_maps(g, orientation)
     return _trace(head_ref, depart, ts.transitions)
 
 
@@ -170,7 +172,7 @@ def find_rs_circuit(g: StarGraph, orientation: Orientation,
     The returned circuit starts at the lowest edge id. `stats`, when given,
     receives initial_cycles and merge_steps.
     """
-    head_ref, arrive, depart = _walk_maps(orientation)
+    head_ref, arrive, depart = _walk_maps(g, orientation)
     ts = _plus_one(g, arrive)
 
     initial = _trace(head_ref, depart, ts)
@@ -181,8 +183,7 @@ def find_rs_circuit(g: StarGraph, orientation: Orientation,
     live = n_cycles
     merge_steps = 0
 
-    for v in sorted(g.vertices):
-        d = g.vertices[v]
+    for v, d in g.vertices.items():
         ins = sorted(ts[v])
         outs = sorted(set(ts[v].values()))
         while True:
@@ -264,7 +265,7 @@ def find_rs_circuit(g: StarGraph, orientation: Orientation,
     circuit = EulerCircuit(
         edges=tuple(seq),
         visits=tuple(visits),
-        positions={v: tuple(ks) for v, ks in sorted(positions.items())},
+        positions={v: tuple(ks) for v, ks in positions.items()},
     )
     return TransitionSystem(ts), circuit
 
@@ -279,8 +280,7 @@ def classify_vertices(g: StarGraph, circuit: EulerCircuit) -> dict[int, VertexCl
     recorded by its index in the vertex's visit list.
     """
     classes: dict[int, VertexClass] = {}
-    for v in sorted(g.vertices):
-        d = g.vertices[v]
+    for v, d in g.vertices.items():
         vlist = [circuit.visits[k] for k in circuit.positions[v]]
         dists = [_cyclic_distance(vis.in_slot, vis.out_slot, d) for vis in vlist]
         if d == 4:

@@ -52,15 +52,17 @@ class Edge:
 class StarGraph:
     """Immutable-by-convention star graph.
 
-    `vertices` maps vertex id to degree; `edges` is a tuple of Edge sorted by
-    id. Construction does not validate; run validate() to get the violation
+    `vertices` maps vertex id to degree, `edges` is a tuple of Edge, and
+    both are kept in ascending id order, whatever order they came in: every
+    other module reads the canonical order from here and sorts no ids.
+    Construction does not validate; run validate() to get the violation
     list, so that broken graphs can still be inspected and reported on.
     """
 
     __slots__ = ("vertices", "edges")
 
     def __init__(self, vertices: Mapping[int, int], edges: Iterable[Edge]):
-        self.vertices: dict[int, int] = dict(vertices)
+        self.vertices: dict[int, int] = dict(sorted(vertices.items()))
         self.edges: tuple[Edge, ...] = tuple(sorted(edges, key=lambda e: e.id))
 
     @classmethod
@@ -108,8 +110,7 @@ def validate(g: StarGraph) -> list[str]:
     if not g.vertices:
         return ["no vertices"]
 
-    for v in sorted(g.vertices):
-        d = g.vertices[v]
+    for v, d in g.vertices.items():
         if d not in SUPPORTED_DEGREES:
             violations.append(f"vertex {v} bad degree {d}")
 
@@ -129,10 +130,10 @@ def validate(g: StarGraph) -> list[str]:
                 refs_ok = False
             else:
                 counts[(ref.vertex, ref.slot)] = counts.get((ref.vertex, ref.slot), 0) + 1
-    for v in sorted(g.vertices):
-        if g.vertices[v] not in SUPPORTED_DEGREES:
+    for v, d in g.vertices.items():
+        if d not in SUPPORTED_DEGREES:
             continue
-        for s in range(g.vertices[v]):
+        for s in range(d):
             c = counts.get((v, s), 0)
             if c > 1:
                 violations.append(f"slot {v}.{s} covered twice")
@@ -141,7 +142,7 @@ def validate(g: StarGraph) -> list[str]:
 
     if refs_ok and g.vertices:
         uf = ParityUnionFind(len(g.vertices))
-        index = {v: i for i, v in enumerate(sorted(g.vertices))}
+        index = {v: i for i, v in enumerate(g.vertices)}
         for e in g.edges:
             uf.union(index[e.a.vertex], index[e.b.vertex], 0)
         roots = {uf.find(i)[0] for i in index.values()}
@@ -164,17 +165,17 @@ def find_source_sink_orientation(g: StarGraph) -> Optional[Orientation]:
     even or all odd, so each vertex carries one phase bit and every edge
     (u.i, v.j) forces phase(u) XOR phase(v) = (1 + i + j) mod 2. The system
     is solved with a parity union-find; when consistent, ties are broken by
-    making slot 0 of the lowest-id vertex in each component outgoing.
+    making slot 0 of the lowest-id vertex in each component outgoing. The
+    edges are listed in the graph's order.
     """
-    order = sorted(g.vertices)
-    index = {v: i for i, v in enumerate(order)}
-    uf = ParityUnionFind(len(order))
+    index = {v: i for i, v in enumerate(g.vertices)}
+    uf = ParityUnionFind(len(index))
     for e in g.edges:
         diff = (1 + e.a.slot + e.b.slot) & 1
         if not uf.union(index[e.a.vertex], index[e.b.vertex], diff):
             return None
 
-    phase = dict(zip(order, uf.sides()))
+    phase = dict(zip(g.vertices, uf.sides()))
     direction: dict[int, tuple[HalfEdgeRef, HalfEdgeRef]] = {}
     for e in g.edges:
         a_out = (e.a.slot + phase[e.a.vertex]) % 2 == 0
@@ -232,8 +233,8 @@ def double_cover(g: StarGraph) -> StarGraph:
 #   vertex <id> <degree>          (one line per vertex)
 #   edge <id> <v>.<slot> <v>.<slot>  (one line per edge)
 #
-# Lines whose first non-blank character is '#' are comments. Vertex lines
-# come before edge lines. serialize -> parse is an exact round trip.
+# Lines whose first non-blank character is '#' are comments. Vertex lines come
+# before edge lines, each kind in any order. serialize -> parse round-trips exactly.
 
 
 def _parse_ref(token: str, line: int) -> HalfEdgeRef:
@@ -302,8 +303,8 @@ def parse_stg(text: str) -> StarGraph:
 def serialize_stg(g: StarGraph) -> str:
     """Canonical .stg text: ascending vertex ids, then ascending edge ids."""
     lines = [f"stargraph {g.n_vertices} {g.n_edges}"]
-    for v in sorted(g.vertices):
-        lines.append(f"vertex {v} {g.vertices[v]}")
+    for v, d in g.vertices.items():
+        lines.append(f"vertex {v} {d}")
     for e in g.edges:
         lines.append(f"edge {e.id} {e.a} {e.b}")
     return "\n".join(lines) + "\n"

@@ -64,7 +64,7 @@ def random_star_graph(seed: int, n4: int, n6: int, max_tries: int = 1000) -> Sta
         raise ValueError("need at least one vertex")
     degrees = {v: 4 for v in range(n4)}
     degrees.update({n4 + v: 6 for v in range(n6)})
-    stubs = [(v, s) for v in sorted(degrees) for s in range(degrees[v])]
+    stubs = [(v, s) for v, d in degrees.items() for s in range(d)]
     rng = random.Random(seed)
     for _ in range(max_tries):
         shuffled = stubs[:]

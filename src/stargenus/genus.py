@@ -206,7 +206,7 @@ def partition_genera(pipe: Pipeline) -> np.ndarray:
     """
     import numpy as np
 
-    chords_w, chords_b = _side_chords(pipe.diagram, sorted(pipe.graph.vertices))
+    chords_w, chords_b = _side_chords(pipe.diagram, list(pipe.graph.vertices))
     live = (1 << len(pipe.matrix.rows)) - 1  # the chords of the vertices not yet placed
     states = [SymplecticBasis(pipe.matrix.rows)]
     # per code: its state's id and its white rank so far
@@ -464,7 +464,7 @@ def _solve(pipe: Pipeline, least: bool, max_nodes: Optional[int]) -> GenusResult
     returned once `rank_pair` reproduces the search's ranks there; those
     are twice a pair count, so an odd rank sum fails this check too.
     """
-    vertices = sorted(pipe.graph.vertices)
+    vertices = list(pipe.graph.vertices)
     chords_w, chords_b = _side_chords(pipe.diagram, vertices)
     rows = pipe.matrix.rows
     search = _Search(chords_w, chords_b, max_nodes)
@@ -531,7 +531,7 @@ def is_planar(g: StarGraph) -> PlanarityResult:
 def planarity_of_pipeline(pipe: Pipeline) -> PlanarityResult:
     diagram = pipe.diagram
     n = len(diagram.chords)
-    vertices = sorted(pipe.graph.vertices)
+    vertices = list(pipe.graph.vertices)
     chords_w, chords_b = _side_chords(diagram, vertices)
 
     # the two chords of a 6-valent vertex: triad halves (both in chords_w)

@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # annotations only: the oracle runs on core_graph alone
 # vertices are done. On 18-20 vertex graphs (2 shared vCPUs) 4,096 beat
 # 2,048 in all six runs, by 16-49%, and was within noise of 8,192; on 12-14
 # vertices the sizes tie. The tracemalloc peak on an 18-vertex cover is
-# 0.94 MB, the 256 KB genera array included.
+# 0.79 MB, the 256 KB genera array included.
 BLOCK = 4096
 
 
@@ -90,7 +90,7 @@ def _successor_tables(g: StarGraph, orientation: Orientation) -> _SuccessorTable
     continues out of the other slot of the white angle flanking s; a black
     face is followed backward from tail slots through black angles. The
     angle (i, i+1) at a vertex is white when i = bit mod 2."""
-    ends = [orientation.direction[eid] for eid in sorted(orientation.direction)]
+    ends = [orientation.direction[e.id] for e in g.edges]
     tails = {(t.vertex, t.slot): e for e, (t, _) in enumerate(ends)}
     heads = {(h.vertex, h.slot): e for e, (_, h) in enumerate(ends)}
 
@@ -103,7 +103,7 @@ def _successor_tables(g: StarGraph, orientation: Orientation) -> _SuccessorTable
 
     at_head = [mates(h) for _, h in ends]
     at_tail = [mates(t) for t, _ in ends]
-    vertices = tuple(sorted(g.vertices))
+    vertices = tuple(g.vertices)
     index = {v: k for k, v in enumerate(vertices)}
     return _SuccessorTables(
         vertices,
@@ -256,17 +256,17 @@ def traced_genera(g: StarGraph, orientation: Orientation,
     def walk(k: int, code: int, start: np.ndarray, end: np.ndarray,
              faces: np.ndarray, width: int) -> None:
         # vertices k to 0 are left; row r of the tables holds the bits of
-        # code + 2r above k, and only their first `width` columns are open
-        if k < 0:
-            even[code >> 1:(code >> 1) + len(faces)] = _genera_of_faces(faces, n, m)
-            return
-        rows = len(faces)
-        if rows < BLOCK // 2:
-            # the bit-0 half, then the bit-1 half: the bit tops the row index
+        # code + 2r above k, and only their first `width` columns are open.
+        # A table below BLOCK / 2 rows doubles in place of its parent: the
+        # bit-0 half, then the bit-1 half, so the bit tops the row index.
+        while k >= 0 and len(faces) < BLOCK // 2:
+            rows = len(faces)
             start, end = (np.concatenate([a[:, :width]] * 2) for a in (start, end))
             faces = np.concatenate([faces, faces])
             _add_links(start, end, faces, ends[k], np.repeat(targets[k], rows, axis=1))
-            walk(k - 1, code, start, end, faces, width - len(slots_at[k]))
+            k, width = k - 1, width - len(slots_at[k])
+        if k < 0:
+            even[code >> 1:(code >> 1) + len(faces)] = _genera_of_faces(faces, n, m)
             return
         # a full table branches: bit 0 works on trimmed copies, bit 1 takes
         # over its parent's tables
@@ -298,7 +298,7 @@ def min_genus_bruteforce(g: StarGraph, cap: Optional[int] = DEFAULT_CAP,
     """
     genera = traced_genera(g, require_source_sink(g), cap)
     code = int(np.argmin(genera))  # the first, hence least, code at the minimum
-    return int(genera[code]), _coloring_of_code(sorted(g.vertices), code)
+    return int(genera[code]), _coloring_of_code(list(g.vertices), code)
 
 
 def oracle_min_genus(g: StarGraph, cap: Optional[int] = DEFAULT_CAP) -> int:
@@ -316,8 +316,7 @@ def chord_region_parity(pipe: Pipeline) -> dict[int, int]:
     where the double chord's p+ half ends, is read.
     """
     parity: dict[int, int] = {}
-    for v in sorted(pipe.graph.vertices):
-        d = pipe.graph.vertices[v]
+    for v, d in pipe.graph.vertices.items():
         principal = pipe.classes[v].principal
         pos = pipe.circuit.positions[v]
         vis = pipe.circuit.visits[pos[0 if principal is None else (principal + 1) % 3]]
@@ -336,11 +335,11 @@ def coloring_flip(pipe: Pipeline) -> int:
     `genus.partition_from_code`) XOR this value.
     """
     code = 0
-    for _, bit in sorted(chord_region_parity(pipe).items()):
+    for bit in chord_region_parity(pipe).values():
         code = code << 1 | bit
     return code
 
 
 def coloring_of_partition(pipe: Pipeline, partition: PermissiblePartition) -> AtomColoring:
     """The atom colouring whose checkerboard surface realizes the partition."""
-    return _coloring_of_code(sorted(partition.side), partition.code ^ coloring_flip(pipe))
+    return _coloring_of_code(list(pipe.graph.vertices), partition.code ^ coloring_flip(pipe))

@@ -54,6 +54,16 @@ _WALK_TESTS = ("tests/test_genus.py::test_witness_is_least_code_on_covers",
 
 MUTANTS = (
     Mutant(
+        # the graph keeps its vertices in the order they were given
+        "vertices-in-given-order",
+        "core_graph.py",
+        "dict(sorted(vertices.items()))",
+        "dict(vertices)",
+        ("tests/test_core_graph.py::test_vertices_and_edges_are_kept_in_ascending_id_order",
+         "tests/test_cli.py::test_input_order_never_reaches_an_answer[ghopf]",
+         "tests/test_cli.py::test_input_order_never_reaches_an_answer[cover14]"),
+    ),
+    Mutant(
         "anchor-visit",
         "oracle.py",
         "pos[0 if principal is None else (principal + 1) % 3]",

@@ -523,6 +523,26 @@ def test_calls_in_one_process_match_calls_made_alone(capsys, stg, monkeypatch):
     assert len({out for _, out in results}) == 4
 
 
+def _reordered(g) -> str:
+    """`g`'s .stg text with its vertex lines descending and its edge lines
+    in another order: the odd positions first, then the even ones."""
+    header, *body = serialize_stg(g).splitlines()
+    vertices, edges = body[:g.n_vertices], body[g.n_vertices:]
+    return "\n".join([header, *vertices[::-1], *edges[1::2], *edges[::2]]) + "\n"
+
+
+@pytest.mark.parametrize("name", ["ghopf", "gt3c", "cover14"])
+def test_input_order_never_reaches_an_answer(capsys, stg, seeded_covers, name):
+    g = {"ghopf": ghopf, "gt3c": gt3c}[name]() if name != "cover14" else seeded_covers((7,))[0]
+    text = _reordered(g)
+    assert parse_stg(text) == g and text != serialize_stg(g)
+    canonical, reordered = stg("a", g), stg("b", text)
+    for argv in (["validate", "--json"], ["orient", "--json"], ["circuit"], ["diagram"],
+                 ["genus", "--json"], ["planar"], ["oracle"], ["check", "--all-partitions"]):
+        expected = run(capsys, argv[0], canonical, *argv[1:])
+        assert run_within(10, capsys, argv[0], reordered, *argv[1:]) == expected, argv
+
+
 def test_repeated_runs_are_byte_identical(capsys, stg):
     from stargenus.fixtures import random_star_graph
     path = stg("r", random_star_graph(12, 6, 2))

@@ -210,6 +210,13 @@ def test_round_trip(small_source_sink, random_corpus):
         assert parse_stg(serialize_stg(g)) == g
 
 
+def test_vertices_and_edges_are_kept_in_ascending_id_order():
+    g = StarGraph({2: 4, 0: 6, 1: 4}, [Edge(1, HalfEdgeRef(1, 0), HalfEdgeRef(2, 0)),
+                                      Edge(0, HalfEdgeRef(0, 0), HalfEdgeRef(1, 1))])
+    assert list(g.vertices) == [0, 1, 2]
+    assert [e.id for e in g.edges] == [0, 1]
+
+
 def test_parse_accepts_comments_and_blank_lines():
     text = ("# a comment\n\nstargraph 1 2\n"
             "  # indented comment\n"
@@ -227,6 +234,9 @@ def test_parse_accepts_comments_and_blank_lines():
     ("stargraph 1 1\nvertex 0 4\nedge 0 0.0\n", 3, "edge"),
     ("stargraph 2 1\nvertex 0 4\nvertex 0 4\nedge 0 0.0 0.1\n", 3, "duplicate vertex"),
     ("stargraph 1 2\nvertex 0 4\nedge 0 0.0 0.1\nedge 0 0.2 0.3\n", 4, "duplicate edge"),
+    ("stargraph 1 1\nvertex 0 4\nedge 0 0.0 0.x\n", 3, "0.x"),
+    ("stargraph -1 2\n", 1, "non-negative"),
+    ("stargraph 1 1\nvertex 0 4\nedge e0 0.0 0.1\n", 3, "edge id must be an integer"),
 ])
 def test_parse_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(StgParseError) as err:

@@ -25,6 +25,17 @@ def test_pinned_ranks():
     assert corank(m) == 1
 
 
+def test_bitmatrix_rejects_malformed_rows():
+    BitMatrix(2, (0b10, 0b01))  # bit n - 1 is inside
+    with pytest.raises(ValueError, match="expected 2 rows, got 1"):
+        BitMatrix(2, (0,))
+    for row in (0b100, 0b101, -1):
+        with pytest.raises(ValueError, match="bits outside the matrix"):
+            BitMatrix(2, (row, 0))
+    with pytest.raises(ValueError, match="not square"):
+        BitMatrix.from_lists([[0, 1], [1]])
+
+
 def test_from_pairs_matches_lists():
     m = BitMatrix.from_pairs(4, [(0, 2), (1, 3), (0, 3)])
     assert m.to_lists() == [[0, 0, 1, 1],
