@@ -166,22 +166,24 @@ def find_source_sink_orientation(g: StarGraph) -> Optional[Orientation]:
     (u.i, v.j) forces phase(u) XOR phase(v) = (1 + i + j) mod 2. The system
     is solved with a parity union-find; when consistent, ties are broken by
     making slot 0 of the lowest-id vertex in each component outgoing. The
-    edges are listed in the graph's order.
+    edges are listed in the graph's order. Raises InvalidGraphError, in
+    `validate`'s words, on an edge that names an unknown vertex.
     """
     index = {v: i for i, v in enumerate(g.vertices)}
     uf = ParityUnionFind(len(index))
-    for e in g.edges:
-        diff = (1 + e.a.slot + e.b.slot) & 1
-        if not uf.union(index[e.a.vertex], index[e.b.vertex], diff):
-            return None
+    try:
+        for e in g.edges:
+            diff = (1 + e.a.slot + e.b.slot) & 1
+            if not uf.union(index[e.a.vertex], index[e.b.vertex], diff):
+                return None
+    except KeyError as unknown:
+        raise InvalidGraphError([f"edge {e.id} references unknown vertex {unknown}"]) from None
 
     phase = dict(zip(g.vertices, uf.sides()))
     direction: dict[int, tuple[HalfEdgeRef, HalfEdgeRef]] = {}
     for e in g.edges:
+        # the parity system makes exactly one end outgoing
         a_out = (e.a.slot + phase[e.a.vertex]) % 2 == 0
-        b_out = (e.b.slot + phase[e.b.vertex]) % 2 == 0
-        if a_out == b_out:  # cannot happen once the parity system is consistent
-            return None
         direction[e.id] = (e.a, e.b) if a_out else (e.b, e.a)
     return Orientation(direction)
 

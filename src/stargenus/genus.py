@@ -31,9 +31,10 @@ come.
 
 Planarity (genus 0) does not need the search: it reduces to 2-colouring the
 chords so that linked chords and double-chord halves disagree while triad
-halves agree, solved with a parity union-find over the linked pairs; one
-endpoint sweep lists those pairs in O(n log n + pairs) time, so planarity
-costs about one union-find step per linked pair.
+halves agree, solved with a parity union-find. One endpoint sweep lists
+the linked pairs in O(n log n + pairs) time. Planarity reads the constraints
+up to the first conflict, keeping none, and on a conflict that prefix again
+for the breadth-first search behind the certificate.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import heapq
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .chords import (ChordDiagram, StarChordDiagram, build_star_chord_diagram,
@@ -515,42 +517,40 @@ def min_genus_of_pipeline(pipe: Pipeline, threads: Optional[int] = None,
 
 
 def is_planar(g: StarGraph) -> PlanarityResult:
-    """Genus-0 test without the partition scan.
-
-    Constraints: linked chords take opposite sides, the two halves of a
-    double chord take opposite sides, the two halves of a triad take the
-    same side. If the parity union-find absorbs every constraint, sides are
-    read off with each component anchored white at its lowest chord;
-    otherwise the first rejected constraint closes an odd cycle, returned as
-    the conflict certificate.
-    """
-    pipe = build_pipeline(g)
-    return planarity_of_pipeline(pipe)
+    """Genus-0 test without the partition scan: `planarity_of_pipeline`
+    on the graph's pipeline."""
+    return planarity_of_pipeline(build_pipeline(g))
 
 
 def planarity_of_pipeline(pipe: Pipeline) -> PlanarityResult:
-    diagram = pipe.diagram
-    n = len(diagram.chords)
+    """Genus-0 test on a built pipeline, without the partition scan.
+
+    Triad halves take the same side; double-chord halves and linked chords
+    take opposite sides. These constraints stream, in that order, into a
+    parity union-find, and none is kept. If it absorbs them all, sides are
+    read off with each component anchored white at its lowest chord.
+    Otherwise the first rejected one closes an odd cycle: a breadth-first
+    search over the constraints before it, streamed again, returns it as
+    the conflict certificate.
+    """
     vertices = list(pipe.graph.vertices)
-    chords_w, chords_b = _side_chords(diagram, vertices)
+    chords_w, chords_b = _side_chords(pipe.diagram, vertices)
 
-    # the two chords of a 6-valent vertex: triad halves (both in chords_w)
-    # agree, double-chord halves (one in each list) disagree
-    constraints: list[tuple[int, int, int]] = []
-    for same, opposite in zip(chords_w, chords_b):
-        both = sorted(same + opposite)
-        if len(both) == 2:
-            constraints.append((both[0], both[1], 1 if opposite else 0))
-    constraints.extend((i, j, 1) for i, j in pipe.linked)
+    def constraints() -> Iterator[tuple[int, int, int]]:
+        # the two chords of a 6-valent vertex: triad halves (both in
+        # chords_w) agree, double-chord halves (one in each list) disagree
+        for same, opposite in zip(chords_w, chords_b):
+            both = sorted(same + opposite)
+            if len(both) == 2:
+                yield both[0], both[1], 1 if opposite else 0
+        for i, j in pipe.linked:
+            yield i, j, 1
 
-    uf = ParityUnionFind(n)
-    conflict_at = None
-    for idx, (i, j, p) in enumerate(constraints):
+    uf = ParityUnionFind(len(pipe.diagram.chords))
+    for conflict_at, (i, j, p) in enumerate(constraints()):
         if not uf.union(i, j, p):
-            conflict_at = idx
             break
-
-    if conflict_at is None:
+    else:
         chord_side = uf.sides()
         # a vertex is on the side its chords_w take: for a double chord
         # that is its p+ half, for any other vertex its lowest chord
@@ -558,16 +558,15 @@ def planarity_of_pipeline(pipe: Pipeline) -> PlanarityResult:
                    for k, v in enumerate(vertices)}
         return PlanarityResult(True, witness=witness)
 
-    i, j, p = constraints[conflict_at]
-    adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for x, y, q in constraints[:conflict_at]:
-        adj[x].append((y, q))
-        adj[y].append((x, q))
+    adj: dict[int, list[int]] = defaultdict(list)
+    for x, y, _ in islice(constraints(), conflict_at):
+        adj[x].append(y)
+        adj[y].append(x)
     parent: dict[int, Optional[int]] = {i: None}
     queue = deque([i])
     while queue and j not in parent:
         x = queue.popleft()
-        for y, _ in adj[x]:
+        for y in adj[x]:
             if y not in parent:
                 parent[y] = x
                 queue.append(y)
@@ -576,5 +575,4 @@ def planarity_of_pipeline(pipe: Pipeline) -> PlanarityResult:
     path = [j]
     while path[-1] != i:
         path.append(parent[path[-1]])  # type: ignore[arg-type]
-    path.reverse()
-    return PlanarityResult(False, conflict=tuple(path))
+    return PlanarityResult(False, conflict=tuple(reversed(path)))

@@ -161,9 +161,29 @@ MUTANTS = (
     Mutant(
         "dchord-halves-agree",
         "genus.py",
-        "constraints.append((both[0], both[1], 1 if opposite else 0))",
-        "constraints.append((both[0], both[1], 0))",
+        "yield both[0], both[1], 1 if opposite else 0",
+        "yield both[0], both[1], 0",
         ("tests/test_genus.py::test_planarity_agrees_with_min_genus",),
+    ),
+    Mutant(
+        # the search may then take the rejected constraint itself, the
+        # shortest way between its chords, which closes no odd cycle
+        "certificate-walks-the-conflict",
+        "genus.py",
+        "islice(constraints(), conflict_at)",
+        "islice(constraints(), conflict_at + 1)",
+        ("tests/test_genus.py::test_conflict_certificate_is_unsatisfiable",
+         "tests/test_genus.py::test_planarity_working_set_is_bounded",
+         "tests/test_cli.py::test_planar_exits"),
+    ),
+    Mutant(
+        # a double chord's vertex read off its p- half, the side opposite it
+        "witness-from-p-minus-half",
+        "genus.py",
+        "chord_side[chords_w[k][0]]",
+        "chord_side[(chords_b[k] or chords_w[k])[0]]",
+        ("tests/test_genus.py::test_planar_witness_realizes_genus_zero",
+         "tests/test_genus.py::test_planarity_agrees_with_min_genus"),
     ),
     Mutant(
         "no-witness-pass",

@@ -13,9 +13,9 @@ import pytest
 
 from stargenus import cli, core_graph
 from stargenus.cli import build_parser, main
-from stargenus.core_graph import parse_stg, serialize_stg, validate
+from stargenus.core_graph import double_cover, parse_stg, serialize_stg, validate
 from stargenus.errors import DEFAULT_MAX_NODES
-from stargenus.fixtures import chain, ghopf, gt3c
+from stargenus.fixtures import chain, ghopf, gt3c, random_star_graph
 from stargenus.genus import (_coupling_order, _Search, _side_chords, build_pipeline, min_genus,
                              partition_from_code, search_genus)
 
@@ -251,6 +251,14 @@ def test_planar_exits(capsys, stg):
     assert run(capsys, "planar", path) == (1, "planar: no\nconflict chords: 0 1\n", "")
     assert run(capsys, "planar", path, "--json") == \
         (1, '{"planar": false, "conflict": [0, 1]}\n', "")
+
+    # the 16-vertex cover of random(2,8,0): a five-chord certificate, in
+    # the order of the breadth-first search that finds it
+    path = stg("c", double_cover(random_star_graph(2, 8, 0)))
+    assert run(capsys, "planar", path) == \
+        (1, "planar: no\nconflict chords: 4 1 2 0 10\n", "")
+    assert run(capsys, "planar", path, "--json") == \
+        (1, '{"planar": false, "conflict": [4, 1, 2, 0, 10]}\n', "")
 
 
 def test_oracle_json(capsys, stg):
@@ -544,7 +552,6 @@ def test_input_order_never_reaches_an_answer(capsys, stg, seeded_covers, name):
 
 
 def test_repeated_runs_are_byte_identical(capsys, stg):
-    from stargenus.fixtures import random_star_graph
     path = stg("r", random_star_graph(12, 6, 2))
     for argv in (["genus", path], ["genus", path, "--json"], ["circuit", path],
                  ["diagram", path], ["orient", path], ["oracle", path]):

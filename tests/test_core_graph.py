@@ -128,6 +128,17 @@ def test_gx_has_no_orientation():
     assert find_source_sink_orientation(gx()) is None
 
 
+def test_orienting_an_edge_to_an_unknown_vertex_raises_validates_violation():
+    # the phase system indexes vertices by id: an unknown one is an invalid
+    # graph, reported in validate's words, and not a bare KeyError
+    g = StarGraph.build({0: 4}, [((0, 0), (1, 1)), ((0, 2), (0, 3))])
+    for decide in (find_source_sink_orientation, is_source_sink):
+        with pytest.raises(InvalidGraphError) as info:
+            decide(g)
+        assert info.value.violations == ["edge 0 references unknown vertex 1"]
+        assert info.value.violations[0] in validate(g)
+
+
 def test_ghopf_orientation_frozen():
     o = find_source_sink_orientation(ghopf())
     text = {eid: (str(t), str(h)) for eid, (t, h) in o.direction.items()}

@@ -5,12 +5,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from stargenus.errors import (InvalidGraphError, InvariantViolation, NotSourceSinkError,
                               SearchBudgetExceeded)
-from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx
+from stargenus.core_graph import double_cover
+from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx, random_star_graph
 from stargenus.genus import (_coupling_order, _lookahead, _place, _Search, _side_chords,
                              build_pipeline, enumerate_permissible_partitions,
                              genus_of_partition, is_planar, min_genus, min_genus_of_pipeline,
@@ -449,6 +451,22 @@ def test_conflict_certificate_is_unsatisfiable(random_corpus, seeded_covers):
         assert not consistent
         checked += 1
     assert checked > 10
+
+
+def test_planarity_working_set_is_bounded():
+    # the 600-vertex cover of random(0,200,100) has 102,781 linked pairs,
+    # and the first conflict is constraint 885: the constraints are streamed
+    # and none is kept, where a list of them all took 7.8 MB
+    pipe = build_pipeline(double_cover(random_star_graph(0, 200, 100)))
+    assert len(pipe.linked) == 102_781
+    tracemalloc.start()
+    try:
+        result = planarity_of_pipeline(pipe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.conflict == (2, 1, 4)
+    assert peak < 10 ** 6
 
 
 def test_chain_family_is_planar():
