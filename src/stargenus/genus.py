@@ -5,27 +5,24 @@ chords of a triad stay on the vertex's side, the two halves of a double
 chord take opposite sides (the vertex's side bit is the side of its p+
 chord). The genus of a partition is half the sum of the GF(2) ranks of the
 two principal submatrices of the intersection matrix, and the minimal genus
-is the minimum over all 2^n partitions. The search for it is an exact
-branch-and-bound, one core (`_Search.run`) that walks depth first from a
-given start, some vertices already placed, over the rest in a given order,
-W before B. Each side's rank is kept incrementally in a `SymplecticBasis`,
-and since a partial rank bounds the final one from below, a branch is cut
-as soon as its half rank sum reaches the best genus found. A one-step
+is the minimum over all 2^n partitions. The search for it is one exact
+branch-and-bound, `_search`, that walks depth first over the vertices in
+coupling-first order (most linked pairs to those already placed first), W
+before B, with the first vertex on W by side-swap symmetry. Each side's
+rank is kept incrementally in a `SymplecticBasis`, and since a partial rank
+bounds the final one from below, a branch is cut as soon as its half rank
+sum shows that no leaf below can beat the best one found. A one-step
 lookahead adds up to 1 per side: the basis knows which chords would raise
 its rank, and if every way of placing the remaining vertices sends such a
-chord to a side, every leaf below is at least 1 higher. Pass 1 starts with
-the first vertex on W, by side-swap symmetry, and takes the rest in
-coupling-first order (most linked pairs to those already placed first); it
-finds the genus g with a leaf of genus g, and `search_genus` runs it alone,
-for callers that need no least witness. The lexicographically least
-witness that `min_genus_of_pipeline` reports then comes from a prefix
-walk seeded with that leaf: the vertices in ascending order keep W
-wherever some genus-g leaf extends the prefix with W, which one feasibility
-search from the prefix decides whenever the current leaf has B there. Both
-entry points go through one function, `_solve`, which shares one node budget
-among the searches of a call and checks the ranks at the final leaf with
-`rank_pair`. `partition_genera` gives the genus of every partition from a
-layered dynamic programme over the same vertices, which merges the partial
+chord to a side, every leaf below is at least 1 higher. `search_genus`
+lets only a lower genus beat the best leaf, for callers that need no least
+witness; `min_genus_of_pipeline` also lets an equal genus with a smaller
+side code win, and a node's own code is the least code below it, so the
+same pass ends on the lexicographically least witness. Both entry points go
+through one function, `_solve`, which runs the search once under a node
+budget and checks the ranks at the final leaf with `rank_pair`.
+`partition_genera` gives the genus of every partition from a layered
+dynamic programme over the same vertices, which merges the partial
 partitions whose bases leave the same residual form on the chords still to
 come.
 
@@ -168,7 +165,7 @@ def enumerate_permissible_partitions(diagram: ChordDiagram) -> Iterator[Permissi
     The CLI's sweep takes its genera from `partition_genera` instead. This
     and `genus_of_partition` stay public as the flat reference, one
     `PermissiblePartition` at a time, that the tests and the benchmark's
-    traced replay check the search and the walk against.
+    traced replay check the search against.
     """
     vertices = sorted({grp.vertex for grp in diagram.groups})
     chords_w, chords_b = _side_chords(diagram, vertices)
@@ -313,171 +310,101 @@ def _lookahead(up_w: int, up_b: int, rest: Optional[tuple], cap: int) -> int:
     return int(stuck)
 
 
-def _place(basis: SymplecticBasis, chords: list[int]) -> SymplecticBasis:
-    for i in chords:
-        basis = basis.add(i)
-    return basis
-
-
-class _Search:
+def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[int, ...],
+            order: list[int], least: bool,
+            max_nodes: Optional[int]) -> tuple[int, int, int, int]:
     """The branch-and-bound over the vertex positions of one pipeline, with
-    their chords as `_side_chords` lists them. `run` searches below a given
-    start, and `least_leaf` walks to the least witness with it. All runs
-    share one node budget, `max_nodes` (None for no budget)."""
+    their chords as `_side_chords` lists them and `rows` the intersection
+    matrix's rows. It walks depth first, one position of `order` a level,
+    W before B, with `order[0]` kept on W: flipping every vertex swaps the
+    two chord sets and keeps the genus. Returns (genus, code, rank_w,
+    rank_b) of the best leaf; `code` is over the vertices in ascending
+    order, as in `partition_from_code`, whatever `order` is.
 
-    def __init__(self, chords_w: list[list[int]], chords_b: list[list[int]],
-                 max_nodes: Optional[int]):
-        self.chords_w = chords_w
-        self.chords_b = chords_b
-        # per position: (mask_w, mask_b), as `_lookahead` reads them
-        self.masks = [(_mask(w), _mask(b)) for w, b in zip(chords_w, chords_b)]
-        self.limit = max_nodes
-        self.left = math.inf if max_nodes is None else max_nodes  # nodes still to make
+    A leaf beats the best one so far when its genus is lower, or, when
+    `least`, equal with a smaller code. So with `least` the best leaf ends
+    as the least code of the minimal genus. That relies on `order[0]` being
+    position 0: of a code and its complement, which have the same genus,
+    the smaller has position 0 on W. Without `least` the search ends on
+    the first leaf of the minimal genus it meets.
 
-    def _exceeded(self) -> SearchBudgetExceeded:
-        return SearchBudgetExceeded(f"genus search exceeds the node budget {self.limit}")
-
-    def run(self, start: tuple[int, SymplecticBasis, SymplecticBasis], order: list[int],
-            best: int, floor: int, prefer: int = 0) -> Optional[tuple[int, int, int, int]]:
-        """Depth-first search below `start` for leaves of genus below
-        `best`. `start` is (code, white basis, black basis) with some vertex
-        positions already placed, and `order` holds the unplaced ones in the
-        order to branch on. Each vertex takes W before B, except where its
-        bit in `prefer` (a code) is set. Each leaf found lowers `best`; the
-        search stops once `best` is at most `floor`. Returns (genus, code,
-        rank_w, rank_b) of the last leaf found, or None; `code` is over the
-        vertices in ascending order, as in `partition_from_code`, whatever
-        `order` is.
-
-        A node is cut when its half rank sum (a lower bound, since a
-        principal submatrix never has larger rank), plus the lookahead's
-        extra when that can matter, reaches `best`. Each node the search
-        makes takes one from the budget: the start, and both children of
-        each node it expands (counted once per expansion, which is cheaper
-        than once per visit). SearchBudgetExceeded is raised when too few
-        are left.
-        """
-        n = len(self.chords_w)
-        depth = len(order)
-        # per depth: the chords and code bit of the vertex placed there;
-        # depth 0 is the start, which places nothing
-        to_w = [[]] + [self.chords_w[k] for k in order]
-        to_b = [[]] + [self.chords_b[k] for k in order]
-        bit = [0] + [1 << (n - 1 - k) for k in order]
-        first = [b & prefer for b in bit]  # the bit of the child tried first
-        second = [b & ~prefer for b in bit]
-        # suffix[k]: the vertices placed below depth k, the unplaced ones
-        # `_lookahead` reads below a node at depth k, as a linked list whose
-        # cells the depths share, so building it costs O(depth)
-        suffix: list[Optional[tuple]] = [None] * (depth + 1)
-        for k in range(depth - 1, -1, -1):
-            suffix[k] = (*self.masks[order[k]], suffix[k + 1])
-        found = None
-        left = self.left
-        if not left:
-            raise self._exceeded()
-        left -= 1
-        code, white, black = start
-        # (depth, code with the bits of the vertices down to that depth,
-        # white basis, black basis, parent's bound); an explicit stack, so
-        # depth is not bounded by the recursion limit
-        stack = [(0, code, white, black, 0)]
-        while stack:
-            k, code, white, black, bound = stack.pop()
-            if bound >= best:  # best improved since the push
-                continue
-            to_white, to_black = (to_b[k], to_w[k]) if code & bit[k] else (to_w[k], to_b[k])
-            for i in to_white:
-                white = white.add(i)
-            for i in to_black:
-                black = black.add(i)
-            bound = (white.rank + black.rank) // 2
-            if bound >= best:
-                continue
-            if k == depth:
-                best = bound
-                found = (bound, code, white.rank, black.rank)
-                if best <= floor:
-                    break
-            elif bound + 2 < best or bound + _lookahead(
-                    white.raisers, black.raisers, suffix[k], best - bound) < best:
-                if left < 2:
-                    raise self._exceeded()
-                left -= 2
-                stack.append((k + 1, code | second[k + 1], white, black, bound))
-                stack.append((k + 1, code | first[k + 1], white, black, bound))
-        self.left = left
-        return found
-
-    def least_leaf(self, order: list[int], empty: SymplecticBasis,
-                   leaf: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-        """The least code of genus g, by prefix fixing from `leaf`, a leaf
-        of the least genus g with position 0 on W.
-
-        The vertices are walked in ascending order, and the walk keeps the
-        bases of the prefix fixed so far and a genus-g leaf that extends
-        it, its completion. Where the completion has W, the vertex keeps W.
-        Where it has B, one `run` from the prefix plus the vertex on W, over
-        the unplaced positions in `order` (pass 1's coupling order), looks
-        for any leaf of genus g (`best` g + 1, `floor` g). It tries each
-        vertex on the completion's side first: a failing run visits the
-        same nodes in any such order, and a succeeding one tends to meet a
-        leaf near the completion sooner. If it finds one,
-        that leaf becomes the completion and the vertex keeps W; if not,
-        every genus-g leaf on this prefix has the vertex on B. So a vertex
-        takes W exactly when some genus-g leaf extends the prefix with W,
-        and the walk ends on the least code of genus g.
-        """
-        chords_w, chords_b = self.chords_w, self.chords_b
-        n = len(chords_w)
-        genus = leaf[0]
-        code, white, black = 0, empty, empty  # the prefix fixed so far
-        for k in range(n):
-            bit = 1 << (n - 1 - k)
-            if not leaf[1] & (2 * bit - 1):
-                break  # the completion has W from here on
-            on_w = (code, _place(white, chords_w[k]), _place(black, chords_b[k]))
-            if leaf[1] & bit:
-                found = self.run(on_w, [p for p in order if p > k], genus + 1, genus,
-                                 leaf[1])
-                if found is None:  # every genus-g leaf on this prefix has B here
-                    code |= bit
-                    white, black = _place(white, chords_b[k]), _place(black, chords_w[k])
-                    continue
-                leaf = found
-            code, white, black = on_w
-        return leaf
+    A node's half rank sum bounds the genus of every leaf below it (a
+    principal submatrix never has larger rank), and the lookahead's extra
+    can raise that bound; its code, with the unplaced positions on W, is
+    the least code below it. A node is cut when these show that no leaf
+    below can beat the best. Each node the search makes takes one from the
+    budget `max_nodes` (None for no budget): the root, and both children
+    of each node it expands (counted once per expansion, which is cheaper
+    than once per visit). SearchBudgetExceeded is raised when too few are
+    left.
+    """
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must be at least 0, got {max_nodes}")
+    n = len(order)
+    # per depth: the chords and code bit of the position placed there
+    to_w = [chords_w[k] for k in order]
+    to_b = [chords_b[k] for k in order]
+    bit = [1 << (n - 1 - k) for k in order]
+    # suffix[k]: the positions placed below depth k, as (mask_w, mask_b,
+    # rest) cells for `_lookahead`, which the depths share, so building it
+    # costs O(n)
+    suffix: list[Optional[tuple]] = [None] * n
+    for k in range(n - 2, -1, -1):
+        suffix[k] = (_mask(to_w[k + 1]), _mask(to_b[k + 1]), suffix[k + 1])
+    exceeded = SearchBudgetExceeded(f"genus search exceeds the node budget {max_nodes}")
+    left = math.inf if max_nodes is None else max_nodes  # nodes still to make
+    if not left:
+        raise exceeded
+    left -= 1
+    # no leaf yet: every genus is below the number of chords, so the first
+    # leaf beats this
+    best, best_code, found = len(rows), 0, None
+    empty = SymplecticBasis(rows)
+    # (depth, code with the bits of the positions down to that depth, white
+    # basis, black basis, parent's bound); an explicit stack, so depth is
+    # not bounded by the recursion limit
+    stack = [(0, 0, empty, empty, 0)]
+    while stack:
+        k, code, white, black, bound = stack.pop()
+        # the leaves below must stay under this genus to beat the best
+        cut = best + (least and code < best_code)
+        if bound >= cut:  # the best improved since the push
+            continue
+        to_white, to_black = (to_b[k], to_w[k]) if code & bit[k] else (to_w[k], to_b[k])
+        for i in to_white:
+            white = white.add(i)
+        for i in to_black:
+            black = black.add(i)
+        bound = (white.rank + black.rank) // 2
+        if bound >= cut:
+            continue
+        if k == n - 1:
+            best, best_code = bound, code
+            found = (bound, code, white.rank, black.rank)
+        elif bound + 2 < cut or bound + _lookahead(
+                white.raisers, black.raisers, suffix[k], cut - bound) < cut:
+            if left < 2:
+                raise exceeded
+            left -= 2
+            stack.append((k + 1, code | bit[k + 1], white, black, bound))
+            stack.append((k + 1, code, white, black, bound))
+    assert found is not None
+    return found
 
 
 def _solve(pipe: Pipeline, least: bool, max_nodes: Optional[int]) -> GenusResult:
     """The search driver behind `search_genus` (`least` False) and
-    `min_genus_of_pipeline` (`least` True), each of which always passes the
-    same `least`. The searches of one call make at most `max_nodes` nodes
-    in all (no limit when None).
-
-    Pass 1 runs the search in coupling-first order (`_coupling_order`), so
-    the ranks, and with them the bounds, grow early and good leaves come
-    soon. Its start has position 0 on W: flipping every vertex swaps the
-    two chord sets and keeps the genus. It finds the genus g and a leaf of
-    genus g, stopping at a genus-0 leaf. When `least`, `least_leaf` walks
-    from that leaf to the least code of genus g. The walk is skipped when
-    the coupling order is the ascending one: leaves then come in ascending
-    code order, so pass 1 stopped at the least code of genus g. The leaf is
-    returned once `rank_pair` reproduces the search's ranks there; those
-    are twice a pair count, so an odd rank sum fails this check too.
+    `min_genus_of_pipeline` (`least` True): one `_search` in coupling-first
+    order (`_coupling_order`), so the ranks, and with them the bounds, grow
+    early and good leaves come soon. The leaf is returned once `rank_pair`
+    reproduces the search's ranks there; those are twice a pair count, so
+    an odd rank sum fails this check too.
     """
     vertices = list(pipe.graph.vertices)
     chords_w, chords_b = _side_chords(pipe.diagram, vertices)
-    rows = pipe.matrix.rows
-    search = _Search(chords_w, chords_b, max_nodes)
-    empty = SymplecticBasis(rows)
-    first, *rest = _coupling_order(chords_w, chords_b, pipe.linked)
-    start = (0, _place(empty, chords_w[first]), _place(empty, chords_b[first]))
-    found = search.run(start, rest, len(rows), 0)
-    assert found is not None
-    if least and rest != sorted(rest):
-        found = search.least_leaf([first, *rest], empty, found)
-    genus, code, rw, rb = found
+    order = _coupling_order(chords_w, chords_b, pipe.linked)
+    genus, code, rw, rb = _search(chords_w, chords_b, pipe.matrix.rows, order, least,
+                                  max_nodes)
     leaf = _partition(vertices, chords_w, chords_b, code)
     checked = rank_pair(pipe.matrix, leaf)
     if checked != (rw, rb):
@@ -497,22 +424,24 @@ def min_genus(g: StarGraph, threads: Optional[int] = None) -> GenusResult:
 
 
 def search_genus(pipe: Pipeline, max_nodes: Optional[int] = None) -> GenusResult:
-    """The minimal genus from pass 1 of the search alone. The witness is
-    the leaf pass 1 stopped at: a partition of that genus, but not
-    necessarily the least one that `min_genus_of_pipeline` reports. Raises
-    SearchBudgetExceeded when the search needs more than `max_nodes` nodes,
-    and InvariantViolation when `masked_rank` does not reproduce the
-    search's ranks at that leaf."""
+    """The minimal genus from one search in which only a lower genus beats
+    the best leaf. The witness is the first leaf of that genus the search
+    met: a partition of the minimal genus, but not necessarily the least
+    one that `min_genus_of_pipeline` reports. Raises ValueError when
+    `max_nodes` is negative, SearchBudgetExceeded when the search needs
+    more than `max_nodes` nodes, and InvariantViolation when `masked_rank`
+    does not reproduce the search's ranks at that leaf."""
     return _solve(pipe, False, max_nodes)
 
 
 def min_genus_of_pipeline(pipe: Pipeline, threads: Optional[int] = None,
                           max_nodes: Optional[int] = None) -> GenusResult:
-    """`min_genus` on a built pipeline: pass 1 finds the genus, and the
-    prefix walk, unless pass 1 already ended on it, the least witness.
-    Raises SearchBudgetExceeded when the two need more than `max_nodes`
-    nodes in all, and InvariantViolation when `masked_rank` does not
-    reproduce the search's ranks at the witness."""
+    """`min_genus` on a built pipeline: one search in which a leaf of equal
+    genus and smaller code also beats the best, so it ends on the least
+    witness. Raises ValueError when `max_nodes` is negative,
+    SearchBudgetExceeded when the search needs more than `max_nodes` nodes,
+    and InvariantViolation when `masked_rank` does not reproduce the
+    search's ranks at the witness."""
     return _solve(pipe, True, max_nodes)
 
 

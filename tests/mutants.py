@@ -48,9 +48,11 @@ class Mutant:
     kills: tuple[str, ...]  # test ids, as pytest prints them, that must fail
 
 
-# the tests that check the prefix walk's witness
-_WALK_TESTS = ("tests/test_genus.py::test_witness_is_least_code_on_covers",
-               "tests/test_genus.py::test_prefix_walk_matches_the_old_pass_and_the_flat_scan")
+# the tests that check the least witness: against the flat scan, and the
+# pinned witness of a cover whose first leaf of the least genus is not it
+_LEAST_TESTS = ("tests/test_genus.py::test_witness_is_least_code_on_covers",
+                "tests/test_genus.py::test_least_pass_matches_the_ascending_pass_and_the_flat_scan",
+                "tests/test_cli.py::test_genus_text_and_json")
 
 MUTANTS = (
     Mutant(
@@ -74,8 +76,8 @@ MUTANTS = (
     Mutant(
         "code-bit",
         "genus.py",
-        "bit = [0] + [1 << (n - 1 - k) for k in order]",
-        "bit = [0] + [1 << (n - 1 - k) for k in range(len(order))]",
+        "bit = [1 << (n - 1 - k) for k in order]",
+        "bit = [1 << (n - 1 - k) for k in range(len(order))]",
         ("tests/test_genus.py::test_search_genus_finds_the_genus_and_a_leaf_of_it",
          "tests/test_cli.py::test_check_all_partitions_on_a_14_vertex_cover"),
     ),
@@ -126,7 +128,7 @@ MUTANTS = (
         ".transpose(np.argsort(order))",
         ".transpose(order)",
         ("tests/test_oracle.py::test_partition_genera_match_the_flat_scan_and_the_oracle",
-         "tests/test_genus.py::test_prefix_walk_matches_the_old_pass_and_the_flat_scan"),
+         "tests/test_genus.py::test_least_pass_matches_the_ascending_pass_and_the_flat_scan"),
     ),
     Mutant(
         "raisers-always-0",
@@ -186,54 +188,29 @@ MUTANTS = (
          "tests/test_genus.py::test_planarity_agrees_with_min_genus"),
     ),
     Mutant(
-        "no-witness-pass",
+        # the best code stays 0, so no tie ever wins: the search ends on the
+        # first leaf of the least genus it meets
+        "least-tie-never-wins",
         "genus.py",
-        "    if least and rest != sorted(rest):\n",
-        "    if False:\n",
-        ("tests/test_genus.py::test_witness_is_least_code_on_covers",),
+        "            best, best_code = bound, code\n",
+        "            best = bound\n",
+        _LEAST_TESTS,
     ),
     Mutant(
-        # a feasibility search for leaves below g finds none, so the walk
-        # keeps every B of pass 1's leaf
-        "walk-best-g",
+        # the lookahead cuts a node whose leaves could tie with a smaller code
+        "lookahead-ignores-ties",
         "genus.py",
-        "genus + 1, genus,\n",
-        "genus, genus,\n",
-        _WALK_TESTS,
+        "suffix[k], cut - bound) < cut",
+        "suffix[k], best - bound) < best",
+        _LEAST_TESTS,
     ),
     Mutant(
-        "walk-leaf-not-adopted",
+        # a pushed node whose leaves could tie with a smaller code is dropped
+        "pop-check-ignores-ties",
         "genus.py",
-        "                leaf = found\n",
-        "                pass\n",
-        _WALK_TESTS,
-    ),
-    Mutant(
-        # the least code in coupling order is not the least in vertex order
-        "walk-coupling-order",
-        "genus.py",
-        "        for k in range(n):\n"
-        "            bit = 1 << (n - 1 - k)\n"
-        "            if not leaf[1] & (2 * bit - 1):\n"
-        "                break  # the completion has W from here on\n"
-        "            on_w = (code, _place(white, chords_w[k]), _place(black, chords_b[k]))\n"
-        "            if leaf[1] & bit:\n"
-        "                found = self.run(on_w, [p for p in order if p > k], genus + 1, genus,\n",
-        "        for at, k in enumerate(order):\n"
-        "            bit = 1 << (n - 1 - k)\n"
-        "            on_w = (code, _place(white, chords_w[k]), _place(black, chords_b[k]))\n"
-        "            if leaf[1] & bit:\n"
-        "                found = self.run(on_w, order[at + 1:], genus + 1, genus,\n",
-        _WALK_TESTS,
-    ),
-    Mutant(
-        # each run starts from the whole budget, so pass 1's nodes and the
-        # walk's are not added up
-        "budget-not-shared",
-        "genus.py",
-        "        self.left = left\n        return found\n",
-        "        return found\n",
-        ("tests/test_genus.py::test_node_budget_counts_every_search_of_a_call",),
+        "if bound >= cut:  # the best improved since the push",
+        "if bound >= best:  # the best improved since the push",
+        _LEAST_TESTS,
     ),
     Mutant(
         "check-without-budget",

@@ -16,8 +16,8 @@ from stargenus.cli import build_parser, main
 from stargenus.core_graph import double_cover, parse_stg, serialize_stg, validate
 from stargenus.errors import DEFAULT_MAX_NODES
 from stargenus.fixtures import chain, ghopf, gt3c, random_star_graph
-from stargenus.genus import (_coupling_order, _Search, _side_chords, build_pipeline, min_genus,
-                             partition_from_code, search_genus)
+from stargenus import genus
+from stargenus.genus import build_pipeline, min_genus, partition_from_code, search_genus
 
 
 @pytest.fixture()
@@ -212,6 +212,18 @@ def test_genus_text_and_json(capsys, stg):
     assert run(capsys, "genus", path, "--json") == (0, (
         '{"source_sink": true, "n_vertices": 2, "n_chords": 2, "min_genus": 0, '
         '"ranks": [0, 0], "witness": {"0": "W", "1": "B"}}\n'), "")
+
+    # the 16-vertex cover of random(1,4,4): the first leaf of genus 6 that
+    # the search meets has code 28672, and the least witness code 5256
+    path = stg("c", double_cover(random_star_graph(1, 4, 4)))
+    assert run(capsys, "genus", path) == (0, (
+        "min genus: 6\nranks: 10 2\nwitness: 0=W 1=W 2=W 3=B 4=W 5=B 6=W 7=W 8=B 9=W "
+        "10=W 11=W 12=B 13=W 14=W 15=W\n"), "")
+    assert run(capsys, "genus", path, "--json") == (0, (
+        '{"source_sink": true, "n_vertices": 16, "n_chords": 24, "min_genus": 6, '
+        '"ranks": [10, 2], "witness": {"0": "W", "1": "W", "2": "W", "3": "B", "4": "W", '
+        '"5": "B", "6": "W", "7": "W", "8": "B", "9": "W", "10": "W", "11": "W", "12": "B", '
+        '"13": "W", "14": "W", "15": "W"}}\n'), "")
 
 
 @pytest.mark.parametrize("k", [40, 1500])
@@ -456,24 +468,16 @@ def test_check_all_partitions_on_a_14_vertex_cover(capsys, stg, seeded_covers):
 
 def test_check_runs_one_search_and_never_the_witness_pass(capsys, stg, seeded_covers,
                                                          monkeypatch):
-    # check prints no witness, so it runs pass 1 alone and never the prefix
-    # walk; genus, on this cover whose coupling order is not ascending,
-    # walks once
-    g = seeded_covers((7,))[0]
-    path = stg("c", g)
-    pipe = build_pipeline(g)
-    chords_w, chords_b = _side_chords(pipe.diagram, sorted(g.vertices))
-    assert _coupling_order(chords_w, chords_b, pipe.linked) != list(range(14))
+    # check prints no witness, so its one search lets no tie win; genus
+    # runs one search too, in which a tie with a smaller code wins
+    path = stg("c", seeded_covers((7,))[0])
     calls = []
 
-    def counted(name):
-        def call(self, *args, original=getattr(_Search, name)):
-            calls.append(name)
-            return original(self, *args)
-        monkeypatch.setattr(_Search, name, call)
+    def recorded(*args, original=genus._search):
+        calls.append(args[4])  # least
+        return original(*args)
+    monkeypatch.setattr(genus, "_search", recorded)
 
-    counted("run")
-    counted("least_leaf")
     for argv, expected in (
             ([], "genus: 5\noracle: 5\nagree: yes\n"),
             (["--json"], '{"min_genus": 5, "oracle_min_genus": 5, "agree": true}\n'),
@@ -481,12 +485,12 @@ def test_check_runs_one_search_and_never_the_witness_pass(capsys, stg, seeded_co
                                    "partitions: 16384 checked, 0 mismatches\n")):
         calls.clear()
         assert run_within(10, capsys, "check", path, *argv) == (0, expected, ""), argv
-        assert calls == ["run"], argv
+        assert calls == [False], argv
 
     calls.clear()
     code, out, _ = run(capsys, "genus", path)
     assert code == 0 and out.startswith("min genus: 5\n")
-    assert calls[:2] == ["run", "least_leaf"] and calls.count("least_leaf") == 1
+    assert calls == [True]
 
 
 def test_check_reports_a_wrong_search_genus_or_leaf(capsys, stg, seeded_covers, monkeypatch):

@@ -13,12 +13,12 @@ from stargenus.errors import (InvalidGraphError, InvariantViolation, NotSourceSi
                               SearchBudgetExceeded)
 from stargenus.core_graph import double_cover
 from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx, random_star_graph
-from stargenus.genus import (_coupling_order, _lookahead, _place, _Search, _side_chords,
+from stargenus.genus import (_coupling_order, _lookahead, _search, _side_chords,
                              build_pipeline, enumerate_permissible_partitions,
                              genus_of_partition, is_planar, min_genus, min_genus_of_pipeline,
                              partition_from_code, partition_genera, planarity_of_pipeline,
                              rank_pair, search_genus)
-from stargenus.gf2 import BitMatrix, SymplecticBasis, masked_rank
+from stargenus.gf2 import BitMatrix, masked_rank
 from stargenus.oracle import coloring_flip, traced_genera
 from stargenus.union_find import ParityUnionFind
 
@@ -180,97 +180,62 @@ def test_lookahead_is_the_least_extra_over_all_placements():
             assert _lookahead(up_w, up_b, linked, cap) == min(extra, cap)
 
 
-def _core(pipe, placed: dict[int, str], order, best, floor, prefer=0):
-    """`_Search.run` from the start with each position in `placed` on its
-    side and the positions in `order` unplaced, with no node budget."""
+def _pass(pipe, order, least):
+    """`_search` over the positions in `order`, with no node budget."""
     rows, chords_w, chords_b = _search_inputs(pipe)
-    n = len(chords_w)
-    code, white, black = 0, SymplecticBasis(rows), SymplecticBasis(rows)
-    for k, side in placed.items():
-        on_b = side == "B"
-        code |= on_b << (n - 1 - k)
-        white = _place(white, chords_b[k] if on_b else chords_w[k])
-        black = _place(black, chords_w[k] if on_b else chords_b[k])
-    return _Search(chords_w, chords_b, None).run((code, white, black), list(order),
-                                                 best, floor, prefer)
+    return _search(chords_w, chords_b, rows, list(order), least, None)
 
 
-def test_genus_is_the_same_in_any_search_order(random_corpus, seeded_covers):
-    # the first pass may take the vertices in any order and finds the same genus
+def test_genus_is_the_same_in_any_search_order(small_source_sink, random_corpus, seeded_covers,
+                                               connected_sums):
+    # the search may take the vertices in any order and finds the same
+    # genus; with `least`, in any order that starts at position 0, it also
+    # ends on the same least code and ranks
     rng = random.Random(1912)
-    for g in random_corpus + seeded_covers((4, 5, 6, 7)):
-        pipe = build_pipeline(g)
-        rows, chords_w, chords_b = _search_inputs(pipe)
-        n = len(chords_w)
-        orders = [_coupling_order(chords_w, chords_b, pipe.linked), list(range(n))]
-        orders += [rng.sample(range(n), n) for _ in range(5)]
-        genera = {_core(pipe, {order[0]: "W"}, order[1:], len(rows), 0)[0]
-                  for order in orders}
-        assert genera == {min_genus_of_pipeline(pipe).min_genus}
-
-
-def test_core_from_a_fixed_prefix_matches_brute_force(random_corpus, seeded_covers):
-    # placed vertices, on either side and in any positions, restrict the
-    # leaves to the codes that agree with them: the core finds their least
-    # genus, and in ascending order, with best = g + 1 and floor = g, their
-    # least code of genus g, or with any side tried first some leaf of genus g
-    rng = random.Random(2026)
-    checked = 0
-    for g in random_corpus[::5] + seeded_covers((2, 3, 4, 5)):
-        pipe = build_pipeline(g)
-        rows = pipe.matrix.rows
-        n = g.n_vertices
-        genera = [genus_of_partition(pipe.matrix, part)
-                  for part in enumerate_permissible_partitions(pipe.diagram)]
-        for _ in range(4):
-            fixed = sorted(rng.sample(range(n), rng.randint(0, n)))
-            if rng.random() < 0.5:
-                fixed = list(range(len(fixed)))  # a prefix in vertex order
-            placed = {k: rng.choice("WB") for k in fixed}
-            rest = [k for k in range(n) if k not in placed]
-            agrees = [c for c in range(1 << n)
-                      if all((c >> (n - 1 - k) & 1) == (side == "B")
-                             for k, side in placed.items())]
-            least = min(genera[c] for c in agrees)
-            found = _core(pipe, placed, rng.sample(rest, len(rest)), len(rows) + 1, 0)
-            assert found[0] == least and found[1] in agrees
-            assert genera[found[1]] == least
-            assert rank_pair(pipe.matrix, partition_from_code(
-                pipe.diagram, sorted(g.vertices), found[1])) == found[2:]
-            first = min(c for c in agrees if genera[c] == least)
-            assert _core(pipe, placed, rest, least + 1, least)[1] == first
-            prefer = rng.randrange(1 << n)
-            found = _core(pipe, placed, rng.sample(rest, len(rest)), least + 1, least, prefer)
-            assert found[1] in agrees and genera[found[1]] == least
-            assert _core(pipe, placed, rest, least, 0) is None
-            checked += 1
-    assert checked == 4 * (len(random_corpus[::5]) + 4)
-
-
-def test_prefix_walk_matches_the_old_pass_and_the_flat_scan(small_source_sink, seeded_covers,
-                                                            connected_sums):
-    # the walk's witness and ranks against the ascending pass it replaced
-    # (vertex 0 on W, the rest in ascending order, best = g + 1, floor = g)
-    # and the least code of the flat table of every partition's genus
     sums = [connected_sums(*blocks) for blocks in ((1, 1, 2), (1, 1, 3), (2, 1, 2), (2, 1, 3))]
-    walked = 0
+    for g in small_source_sink + random_corpus + seeded_covers((4, 5, 6, 7)) + sums:
+        pipe = build_pipeline(g)
+        _, chords_w, chords_b = _search_inputs(pipe)
+        n = len(chords_w)
+        least = min_genus_of_pipeline(pipe)
+        orders = [_coupling_order(chords_w, chords_b, pipe.linked), list(range(n))]
+        orders += [[0] + rng.sample(range(1, n), n - 1) for _ in range(5)]
+        anywhere = [rng.sample(range(n), n) for _ in range(5)]
+        assert {_pass(pipe, order, False)[0] for order in orders + anywhere} == \
+            {least.min_genus}
+        for order in orders:
+            assert _pass(pipe, order, True) == \
+                (least.min_genus, least.witness.code, *least.ranks), order
+
+
+def test_least_pass_matches_the_ascending_pass_and_the_flat_scan(small_source_sink,
+                                                                 seeded_covers, connected_sums):
+    # the least pass ends on the least code of the flat table of every
+    # partition's genus, in ascending order (where leaves come in code
+    # order) and in coupling order (where they do not) alike
+    sums = [connected_sums(*blocks) for blocks in ((1, 1, 2), (1, 1, 3), (2, 1, 2), (2, 1, 3))]
+    reordered = 0
     for g in small_source_sink + seeded_covers(range(1, 10)) + sums:
         pipe = build_pipeline(g)
-        rows, chords_w, chords_b = _search_inputs(pipe)
+        _, chords_w, chords_b = _search_inputs(pipe)
         n = len(chords_w)
-        result = min_genus_of_pipeline(pipe)
-        genus = result.min_genus
-        old = _core(pipe, {0: "W"}, range(1, n), genus + 1, genus)
-        assert (result.witness.code, *result.ranks) == old[1:]
         genera = partition_genera(pipe).tolist()
-        assert result.witness.code == genera.index(genus) and min(genera) == genus
-        walked += _coupling_order(chords_w, chords_b, pipe.linked) != list(range(n))
-    assert walked >= 10
+        genus = min(genera)
+        coupling = _coupling_order(chords_w, chords_b, pipe.linked)
+        for order in (list(range(n)), coupling):
+            found = _pass(pipe, order, True)
+            assert found[:2] == (genus, genera.index(genus))
+            assert found[2:] == rank_pair(pipe.matrix, partition_from_code(
+                pipe.diagram, list(g.vertices), found[1]))
+        assert min_genus_of_pipeline(pipe).witness.code == genera.index(genus)
+        reordered += coupling != list(range(n))
+    assert reordered >= 10
 
 
-def test_node_budget_counts_every_search_of_a_call(seeded_covers):
-    # a call makes at most max_nodes nodes over pass 1 and the prefix walk
-    # together, and gives the unbounded answer whenever it is not refused
+def test_node_budget_counts_every_node_of_a_call(seeded_covers):
+    # a call makes at most max_nodes nodes, and gives the unbounded answer
+    # whenever it is not refused; letting ties with a smaller code win
+    # costs nodes past the first leaf of the least genus
     def least_budget(search, pipe):
         low, high = 1, 10 ** 6
         while low < high:
@@ -285,13 +250,25 @@ def test_node_budget_counts_every_search_of_a_call(seeded_covers):
     for g in seeded_covers((5, 6, 7)):
         pipe = build_pipeline(g)
         first = least_budget(search_genus, pipe)
-        both = least_budget(min_genus_of_pipeline, pipe)
-        assert both > first  # the walk's nodes come on top of pass 1's
-        for search, nodes in ((search_genus, first), (min_genus_of_pipeline, both)):
+        least = least_budget(min_genus_of_pipeline, pipe)
+        assert least > first
+        for search, nodes in ((search_genus, first), (min_genus_of_pipeline, least)):
             assert search(pipe, max_nodes=nodes) == search(pipe)
             with pytest.raises(SearchBudgetExceeded,
                                match=f"^genus search exceeds the node budget {nodes - 1}$"):
                 search(pipe, max_nodes=nodes - 1)
+
+
+def test_negative_node_budget_is_refused(seeded_covers):
+    # a negative budget is a caller's error, not a budget that happens to
+    # let the start of a search through: it is refused before any search
+    for g in (g8(), seeded_covers((5,))[0]):
+        pipe = build_pipeline(g)
+        for search in (search_genus, min_genus_of_pipeline):
+            with pytest.raises(ValueError, match="^max_nodes must be at least 0, got -1$"):
+                search(pipe, max_nodes=-1)
+            with pytest.raises(SearchBudgetExceeded):
+                search(pipe, max_nodes=0)
 
 
 def test_min_genus_matches_oracle_on_covers(cover_pipes):
@@ -311,7 +288,9 @@ def test_witness_is_least_code_on_covers(cover_pipes):
         _, chords_w, chords_b = _search_inputs(pipe)
         if _coupling_order(chords_w, chords_b, pipe.linked) != list(range(len(chords_w))):
             reordered += 1
-    assert reordered == len(cover_pipes)  # so the prefix walk ran on every cover
+    # so on every cover the leaves do not come in code order, and the rule
+    # that a tie with a smaller code wins decides the witness
+    assert reordered == len(cover_pipes)
 
 
 def test_search_cross_checks_witness_ranks():
