@@ -7,14 +7,17 @@ chord). The genus of a partition is half the sum of the GF(2) ranks of the
 two principal submatrices of the intersection matrix, and the minimal genus
 is the minimum over all 2^n partitions. The search for it is one exact
 branch-and-bound, `_search`, that walks depth first over the vertices in
-coupling-first order (most linked pairs to those already placed first), W
-before B, with the first vertex on W by side-swap symmetry. Each side's
-rank is kept incrementally in a `SymplecticBasis`, and since a partial rank
-bounds the final one from below, a branch is cut as soon as its half rank
-sum shows that no leaf below can beat the best one found. A one-step
-lookahead adds up to 1 per side: the basis knows which chords would raise
-its rank, and if every way of placing the remaining vertices sends such a
-chord to a side, every leaf below is at least 1 higher. `search_genus`
+coupling-first order (most linked pairs to those already placed first),
+with the first vertex on W by side-swap symmetry. Each side's rank is kept
+incrementally in a `SymplecticBasis`, and since a partial rank bounds the
+final one from below, a branch is cut as soon as its half rank sum shows
+that no leaf below can beat the best one found. The basis knows which
+chords would raise its rank, and two bounds read that: a one-step
+lookahead adds up to 1 per side when every way of placing the remaining
+vertices sends such a chord to a side, and each of a node's two children
+adds 1 per side that its own vertex sends such a chord to. A child whose
+bound already shows it cannot win is never made, and of two the search
+descends into the one with the lower bound first, W on ties. `search_genus`
 lets only a lower genus beat the best leaf, for callers that need no least
 witness; `min_genus_of_pipeline` also lets an equal genus with a smaller
 side code win, and a node's own code is the least code below it, so the
@@ -316,41 +319,51 @@ def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[in
     """The branch-and-bound over the vertex positions of one pipeline, with
     their chords as `_side_chords` lists them and `rows` the intersection
     matrix's rows. It walks depth first, one position of `order` a level,
-    W before B, with `order[0]` kept on W: flipping every vertex swaps the
-    two chord sets and keeps the genus. Returns (genus, code, rank_w,
-    rank_b) of the best leaf; `code` is over the vertices in ascending
-    order, as in `partition_from_code`, whatever `order` is.
+    into the lower-bound child first (W on ties), with `order[0]` kept on
+    W: flipping every vertex swaps the two chord sets and keeps the genus.
+    Returns (genus, code, rank_w, rank_b) of the best leaf; `code` is over
+    the vertices in ascending order, as in `partition_from_code`, whatever
+    `order` is.
 
     A leaf beats the best one so far when its genus is lower, or, when
     `least`, equal with a smaller code. So with `least` the best leaf ends
-    as the least code of the minimal genus. That relies on `order[0]` being
-    position 0: of a code and its complement, which have the same genus,
-    the smaller has position 0 on W. Without `least` the search ends on
-    the first leaf of the minimal genus it meets.
+    as the least code of the minimal genus, in any child order. That
+    relies on `order[0]` being position 0: of a code and its complement,
+    which have the same genus, the smaller has position 0 on W. Without
+    `least` the search ends on the first leaf of the minimal genus it
+    meets.
 
     A node's half rank sum bounds the genus of every leaf below it (a
     principal submatrix never has larger rank), and the lookahead's extra
     can raise that bound; its code, with the unplaced positions on W, is
     the least code below it. A node is cut when these show that no leaf
-    below can beat the best. Each node the search makes takes one from the
-    budget `max_nodes` (None for no budget): the root, and both children
-    of each node it expands (counted once per expansion, which is cheaper
-    than once per visit). SearchBudgetExceeded is raised when too few are
-    left.
+    below can beat the best. A child's bound adds 1 for each side its
+    position sends one of that side's raisers to: the raiser raises the
+    side's rank by 2, a non-raiser added first leaves it a raiser, and
+    ranks never fall. A child is not made when its bound shows, with its
+    own code, that it cannot beat the best; of two made children the
+    search descends into the lower-bound one and pushes the other. Each
+    node the search makes takes one from the budget `max_nodes` (None for
+    no budget): the root, and each child it makes, when it is made.
+    Children that are not made take none. SearchBudgetExceeded is raised
+    when too few are left.
     """
     if max_nodes is not None and max_nodes < 0:
         raise ValueError(f"max_nodes must be at least 0, got {max_nodes}")
     n = len(order)
-    # per depth: the chords and code bit of the position placed there
+    # per depth: the chords, their masks and the code bit of the position
+    # placed there
     to_w = [chords_w[k] for k in order]
     to_b = [chords_b[k] for k in order]
+    mask_w = [_mask(chords) for chords in to_w]
+    mask_b = [_mask(chords) for chords in to_b]
     bit = [1 << (n - 1 - k) for k in order]
     # suffix[k]: the positions placed below depth k, as (mask_w, mask_b,
     # rest) cells for `_lookahead`, which the depths share, so building it
     # costs O(n)
     suffix: list[Optional[tuple]] = [None] * n
     for k in range(n - 2, -1, -1):
-        suffix[k] = (_mask(to_w[k + 1]), _mask(to_b[k + 1]), suffix[k + 1])
+        suffix[k] = (mask_w[k + 1], mask_b[k + 1], suffix[k + 1])
     exceeded = SearchBudgetExceeded(f"genus search exceeds the node budget {max_nodes}")
     left = math.inf if max_nodes is None else max_nodes  # nodes still to make
     if not left:
@@ -361,8 +374,8 @@ def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[in
     best, best_code, found = len(rows), 0, None
     empty = SymplecticBasis(rows)
     # (depth, code with the bits of the positions down to that depth, white
-    # basis, black basis, parent's bound); an explicit stack, so depth is
-    # not bounded by the recursion limit
+    # basis, black basis, the bound its parent gave it); an explicit stack,
+    # so depth is not bounded by the recursion limit
     stack = [(0, 0, empty, empty, 0)]
     while stack:
         k, code, white, black, bound = stack.pop()
@@ -370,24 +383,44 @@ def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[in
         cut = best + (least and code < best_code)
         if bound >= cut:  # the best improved since the push
             continue
-        to_white, to_black = (to_b[k], to_w[k]) if code & bit[k] else (to_w[k], to_b[k])
-        for i in to_white:
-            white = white.add(i)
-        for i in to_black:
-            black = black.add(i)
-        bound = (white.rank + black.rank) // 2
-        if bound >= cut:
-            continue
-        if k == n - 1:
-            best, best_code = bound, code
-            found = (bound, code, white.rank, black.rank)
-        elif bound + 2 < cut or bound + _lookahead(
-                white.raisers, black.raisers, suffix[k], cut - bound) < cut:
-            if left < 2:
+        while True:  # place depth k's position, then descend into a child
+            to_white, to_black = (to_b[k], to_w[k]) if code & bit[k] else (to_w[k], to_b[k])
+            for i in to_white:
+                white = white.add(i)
+            for i in to_black:
+                black = black.add(i)
+            bound = (white.rank + black.rank) // 2
+            if bound >= cut:
+                break
+            if k == n - 1:
+                best, best_code = bound, code
+                found = (bound, code, white.rank, black.rank)
+                break
+            up_w, up_b = white.raisers, black.raisers
+            if bound + 2 >= cut and bound + _lookahead(
+                    up_w, up_b, suffix[k], cut - bound) >= cut:
+                break
+            k += 1
+            # a raiser sent to a side raises it by 2 in every leaf below
+            mw, mb, code_b = mask_w[k], mask_b[k], code | bit[k]
+            bound_w = bound + bool(mw & up_w) + bool(mb & up_b)
+            bound_b = bound + bool(mb & up_w) + bool(mw & up_b)
+            cut_b = best + (least and code_b < best_code)
+            keep_w, keep_b = bound_w < cut, bound_b < cut_b
+            if left < keep_w + keep_b:
                 raise exceeded
-            left -= 2
-            stack.append((k + 1, code | bit[k + 1], white, black, bound))
-            stack.append((k + 1, code, white, black, bound))
+            left -= keep_w + keep_b
+            # descend into the child with the lower bound, W on ties, and
+            # push the other; the W child has its parent's code and cut
+            if keep_w and (bound_w <= bound_b or not keep_b):
+                if keep_b:
+                    stack.append((k, code_b, white, black, bound_b))
+            elif keep_b:
+                if keep_w:
+                    stack.append((k, code, white, black, bound_w))
+                code, cut = code_b, cut_b
+            else:
+                break
     assert found is not None
     return found
 

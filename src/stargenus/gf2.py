@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -131,30 +130,26 @@ class SymplecticBasis:
     immutable: `add` returns a new basis (or the same one, when the
     insertion changes nothing), so a search can branch freely.
 
-    `rank` and `raisers` are plain fields, set when a basis is built and
-    kept by `add`, so a search reads them at no cost. `rank` is twice the
-    number of pairs. `raisers` is the bitmask of the indices whose
-    insertion raises the rank: an inserted e_i pairs up, raising the rank
-    by 2, exactly when B(e_i, r) = 1 for some radical vector r, that is
-    when bit i of r's image is set; so it is the OR of the radical images,
-    and bit i (for i not yet inserted) is set exactly when
-    `add(i).rank == rank + 2`. A new radical vector extends it by its
-    image; a pairing rewrites the radical, and only then is it recomputed.
+    `rank` and `raisers` are plain fields that `add` keeps, so a search
+    reads them at no cost. `rank` is twice the number of pairs. `raisers`
+    is the bitmask of the indices whose insertion raises the rank: an
+    inserted e_i pairs up, raising the rank by 2, exactly when
+    B(e_i, r) = 1 for some radical vector r, that is when bit i of r's
+    image is set; so it is the OR of the radical images, and bit i (for i
+    not yet inserted) is set exactly when `add(i).rank == rank + 2`. A new
+    radical vector extends it by its image; a pairing rewrites the radical,
+    and the loop that rewrites it ORs the new images.
     """
 
     __slots__ = ("rows", "pairs", "radical", "rank", "raisers")
 
-    def __init__(self, rows: tuple[int, ...], pairs: tuple[tuple[int, int], ...] = (),
-                 radical: tuple[int, ...] = (), raisers: Optional[int] = None):
+    def __init__(self, rows: tuple[int, ...]):
+        """The basis of nothing inserted yet."""
         self.rows = rows
-        self.pairs = pairs
-        self.radical = radical
-        self.rank = 2 * len(pairs)
-        if raisers is None:
-            raisers = 0
-            for r in radical:
-                raisers |= r
-        self.raisers = raisers
+        self.pairs: tuple[tuple[int, int], ...] = ()
+        self.radical: tuple[int, ...] = ()
+        self.rank = 0
+        self.raisers = 0
 
     def add(self, i: int) -> SymplecticBasis:
         """The basis after inserting index i (not inserted before)."""
@@ -165,17 +160,34 @@ class SymplecticBasis:
             if u >> i & 1:
                 x ^= v
         if self.raisers >> i & 1:
-            radical = self.radical
-            for k, r in enumerate(radical):
-                if r >> i & 1:
-                    # from a list, which builds faster than a generator
-                    rest = tuple([s ^ r if s >> i & 1 else s for s in radical[k + 1:]])
-                    return SymplecticBasis(self.rows, self.pairs + ((r, x),),
-                                           radical[:k] + rest)
-        if not x:
+            # pair x with the first radical vector r that i raises on, and
+            # project the later ones that i raises on off the new pair
+            kept = []
+            raisers = r = 0
+            for s in self.radical:
+                if s >> i & 1:
+                    if not r:
+                        r = s
+                        continue
+                    s ^= r
+                kept.append(s)
+                raisers |= s
+            pairs, radical, rank = self.pairs + ((r, x),), tuple(kept), self.rank + 2
+        elif x:
+            pairs, radical, rank = self.pairs, self.radical + (x,), self.rank
+            raisers = self.raisers | x
+        else:
             # a zero image pairs with nothing and need not be kept
             return self
-        return SymplecticBasis(self.rows, self.pairs, self.radical + (x,), self.raisers | x)
+        # set field by field, not through __init__ (which builds the empty
+        # basis only): a search makes one basis per insertion that counts
+        basis = object.__new__(SymplecticBasis)
+        basis.rows = self.rows
+        basis.pairs = pairs
+        basis.radical = radical
+        basis.rank = rank
+        basis.raisers = raisers
+        return basis
 
     def residual(self, live: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """A hashable key for what the rank gains from inserting any subset

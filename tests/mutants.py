@@ -48,11 +48,13 @@ class Mutant:
     kills: tuple[str, ...]  # test ids, as pytest prints them, that must fail
 
 
-# the tests that check the least witness: against the flat scan, and the
-# pinned witness of a cover whose first leaf of the least genus is not it
-_LEAST_TESTS = ("tests/test_genus.py::test_witness_is_least_code_on_covers",
-                "tests/test_genus.py::test_least_pass_matches_the_ascending_pass_and_the_flat_scan",
-                "tests/test_cli.py::test_genus_text_and_json")
+# the tests that check the least witness against the flat scan, and those
+# plus the pinned witness of a cover whose first leaf of the least genus is
+# not it
+_SCANNED_LEAST_TESTS = (
+    "tests/test_genus.py::test_witness_is_least_code_on_covers",
+    "tests/test_genus.py::test_least_pass_matches_the_ascending_pass_and_the_flat_scan")
+_LEAST_TESTS = _SCANNED_LEAST_TESTS + ("tests/test_cli.py::test_genus_text_and_json",)
 
 MUTANTS = (
     Mutant(
@@ -131,10 +133,11 @@ MUTANTS = (
          "tests/test_genus.py::test_least_pass_matches_the_ascending_pass_and_the_flat_scan"),
     ),
     Mutant(
+        # every insertion's successor has no raisers, so nothing pairs up
         "raisers-always-0",
         "gf2.py",
-        "        self.raisers = raisers\n",
-        "        self.raisers = 0\n",
+        "        basis.raisers = raisers\n",
+        "        basis.raisers = 0\n",
         ("tests/test_gf2.py::test_symplectic_basis_tracks_masked_rank",
          "tests/test_gf2.py::test_symplectic_fields_track_the_pairs_and_radical"),
     ),
@@ -200,8 +203,8 @@ MUTANTS = (
         # the lookahead cuts a node whose leaves could tie with a smaller code
         "lookahead-ignores-ties",
         "genus.py",
-        "suffix[k], cut - bound) < cut",
-        "suffix[k], best - bound) < best",
+        "suffix[k], cut - bound) >= cut",
+        "suffix[k], best - bound) >= best",
         _LEAST_TESTS,
     ),
     Mutant(
@@ -210,7 +213,27 @@ MUTANTS = (
         "genus.py",
         "if bound >= cut:  # the best improved since the push",
         "if bound >= best:  # the best improved since the push",
-        _LEAST_TESTS,
+        _SCANNED_LEAST_TESTS,
+    ),
+    Mutant(
+        # a B child whose leaves cannot win a tie is made when its parent's
+        # could, and its leaves of the best genus then win with larger codes
+        "b-child-cut-uses-parent-code",
+        "genus.py",
+        "cut_b = best + (least and code_b < best_code)",
+        "cut_b = best + (least and code < best_code)",
+        _SCANNED_LEAST_TESTS,
+    ),
+    Mutant(
+        # the W child is bounded by the chords the B child sends, so a W
+        # child with a leaf of the least genus can be left unmade
+        "child-bound-sides-swapped",
+        "genus.py",
+        "bound_w = bound + bool(mw & up_w) + bool(mb & up_b)",
+        "bound_w = bound + bool(mb & up_w) + bool(mw & up_b)",
+        ("tests/test_genus.py::test_min_genus_matches_full_scan",
+         "tests/test_genus.py::test_min_genus_matches_oracle_on_covers",
+         "tests/test_genus.py::test_search_genus_finds_the_genus_and_a_leaf_of_it"),
     ),
     Mutant(
         "check-without-budget",

@@ -13,12 +13,12 @@ from stargenus.errors import (InvalidGraphError, InvariantViolation, NotSourceSi
                               SearchBudgetExceeded)
 from stargenus.core_graph import double_cover
 from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx, random_star_graph
-from stargenus.genus import (_coupling_order, _lookahead, _search, _side_chords,
+from stargenus.genus import (_coupling_order, _lookahead, _mask, _search, _side_chords,
                              build_pipeline, enumerate_permissible_partitions,
                              genus_of_partition, is_planar, min_genus, min_genus_of_pipeline,
                              partition_from_code, partition_genera, planarity_of_pipeline,
                              rank_pair, search_genus)
-from stargenus.gf2 import BitMatrix, masked_rank
+from stargenus.gf2 import BitMatrix, SymplecticBasis, masked_rank
 from stargenus.oracle import coloring_flip, traced_genera
 from stargenus.union_find import ParityUnionFind
 
@@ -178,6 +178,45 @@ def test_lookahead_is_the_least_extra_over_all_placements():
                                                          for mw, mb in rest]))
         for cap in (1, 2, 3):
             assert _lookahead(up_w, up_b, linked, cap) == min(extra, cap)
+
+
+def test_child_bound_is_at_most_the_genus_its_vertex_adds():
+    # the search bounds a child by 1 for each side that its vertex sends one
+    # of that side's raisers to; over bases reached by random insertions,
+    # that never exceeds the genus the vertex adds, and equals it when each
+    # side gets at most one chord (a 4-vertex, or a double chord's halves)
+    rng = random.Random(2024)
+    below = 0
+    for _ in range(3000):
+        n = rng.randint(2, 12)
+        density = rng.random()
+        m = BitMatrix.from_pairs(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                     if rng.random() < density])
+        chords = rng.sample(range(n), n)
+        kind = rng.choice(("chord", "triad", "dchord"))
+        vertex, placed = chords[:1 + (kind != "chord")], chords[1 + (kind != "chord"):]
+        white = black = SymplecticBasis(m.rows)
+        for i in placed[:rng.randint(0, len(placed))]:
+            if rng.random() < 0.5:
+                white = white.add(i)
+            else:
+                black = black.add(i)
+        # W sends (white, black) chords, B the other way round
+        sends = (vertex, []) if kind != "dchord" else (vertex[:1], vertex[1:])
+        for to_white, to_black in (sends, sends[::-1]):
+            bound = bool(_mask(to_white) & white.raisers) + bool(_mask(to_black) & black.raisers)
+            grown_w, grown_b = white, black
+            for i in to_white:
+                grown_w = grown_w.add(i)
+            for i in to_black:
+                grown_b = grown_b.add(i)
+            gain = (grown_w.rank + grown_b.rank - white.rank - black.rank) // 2
+            assert bound <= gain
+            if len(to_white) <= 1 and len(to_black) <= 1:
+                assert bound == gain
+            below += bound < gain
+    # a triad's second chord can raise only after its first is in
+    assert below > 0
 
 
 def _pass(pipe, order, least):
