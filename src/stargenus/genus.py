@@ -12,10 +12,10 @@ with the first vertex on W by side-swap symmetry. Each side's rank is kept
 incrementally in a `SymplecticBasis`, and since a partial rank bounds the
 final one from below, a branch is cut as soon as its half rank sum shows
 that no leaf below can beat the best one found. The basis knows which
-chords would raise its rank, and two bounds read that: a one-step
-lookahead adds up to 1 per side when every way of placing the remaining
-vertices sends such a chord to a side, and each of a node's two children
-adds 1 per side that its own vertex sends such a chord to. A child whose
+chords would raise its rank, and two bounds read that: each of a node's
+two children adds 1 per side that its own vertex sends such a chord to,
+and a node one short of the cut is cut when some unplaced vertex sends
+such a chord to a side whichever side it takes. A child whose
 bound already shows it cannot win is never made, and of two the search
 descends into the one with the lower bound first, W on ties. `search_genus`
 lets only a lower genus beat the best leaf, for callers that need no least
@@ -283,34 +283,24 @@ def _mask(chords: list[int]) -> int:
     return mask
 
 
-def _lookahead(up_w: int, up_b: int, rest: Optional[tuple], cap: int) -> int:
-    """How much more than a node's bound every leaf below it has, capped at
-    `cap` (scanning stops once the cap is reached).
+def _stuck(up_w: int, up_b: int, rest: Optional[tuple]) -> bool:
+    """Whether some unplaced vertex raises a side whichever side it takes.
 
     `rest` holds the unplaced vertices as a linked list of
     (mask_w, mask_b, rest) cells ending in None: W sends mask_w's chords to
-    white and mask_b's to black, B the other way round. An option
-    raises a side when it sends one of that side's raisers
+    white and mask_b's to black, B the other way round. An option raises a
+    side when it sends one of that side's raisers
     (`SymplecticBasis.raisers`) there, and since ranks only grow, a raised
-    side adds 1 to the genus of every leaf below. So the extra is 0 when
-    every vertex has an option that raises neither side; else 1 when every
-    vertex has an option that raises at most white, or every vertex one that
-    raises at most black; else 2.
+    side adds 1 to the genus of every leaf below. So when some vertex is
+    stuck, every leaf below the node has a genus above its bound.
     """
     if not up_w | up_b:
-        return 0
-    stuck = forced_w = forced_b = False
+        return False
     while rest:
         mw, mb, rest = rest
         if (mw & up_w or mb & up_b) and (mb & up_w or mw & up_b):
-            if cap == 1:
-                return 1
-            stuck = True  # raises a side either way
-            forced_w = forced_w or bool(mw & up_w and mb & up_w)
-            forced_b = forced_b or bool(mw & up_b and mb & up_b)
-            if forced_w and forced_b:
-                return 2
-    return int(stuck)
+            return True
+    return False
 
 
 def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[int, ...],
@@ -334,10 +324,12 @@ def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[in
     meets.
 
     A node's half rank sum bounds the genus of every leaf below it (a
-    principal submatrix never has larger rank), and the lookahead's extra
-    can raise that bound; its code, with the unplaced positions on W, is
-    the least code below it. A node is cut when these show that no leaf
-    below can beat the best. A child's bound adds 1 for each side its
+    principal submatrix never has larger rank), and so does the bound plus
+    1 when `_stuck` finds an unplaced position that raises a side either
+    way; its code, with the unplaced positions on W, is the least code
+    below it. A node is cut when these show that no leaf below can beat
+    the best; `_stuck` is asked only at a node one short of its cut, the
+    only one its 1 can cut. A child's bound adds 1 for each side its
     position sends one of that side's raisers to: the raiser raises the
     side's rank by 2, a non-raiser added first leaves it a raiser, and
     ranks never fall. A child is not made when its bound shows, with its
@@ -359,7 +351,7 @@ def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[in
     mask_b = [_mask(chords) for chords in to_b]
     bit = [1 << (n - 1 - k) for k in order]
     # suffix[k]: the positions placed below depth k, as (mask_w, mask_b,
-    # rest) cells for `_lookahead`, which the depths share, so building it
+    # rest) cells for `_stuck`, which the depths share, so building it
     # costs O(n)
     suffix: list[Optional[tuple]] = [None] * n
     for k in range(n - 2, -1, -1):
@@ -397,8 +389,7 @@ def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[in
                 found = (bound, code, white.rank, black.rank)
                 break
             up_w, up_b = white.raisers, black.raisers
-            if bound + 2 >= cut and bound + _lookahead(
-                    up_w, up_b, suffix[k], cut - bound) >= cut:
+            if bound + 1 == cut and _stuck(up_w, up_b, suffix[k]):
                 break
             k += 1
             # a raiser sent to a side raises it by 2 in every leaf below
@@ -446,14 +437,11 @@ def _solve(pipe: Pipeline, least: bool, max_nodes: Optional[int]) -> GenusResult
     return GenusResult(genus, leaf, (rw, rb))
 
 
-def min_genus(g: StarGraph, threads: Optional[int] = None) -> GenusResult:
+def min_genus(g: StarGraph) -> GenusResult:
     """Least genus over the permissible partitions; ties break to the
     lexicographically least side assignment (W before B, ascending vertex
-    ids). `threads` is accepted for compatibility and ignored: the search is
-    serial.
-    """
-    pipe = build_pipeline(g)
-    return min_genus_of_pipeline(pipe, threads=threads)
+    ids)."""
+    return min_genus_of_pipeline(build_pipeline(g))
 
 
 def search_genus(pipe: Pipeline, max_nodes: Optional[int] = None) -> GenusResult:

@@ -142,11 +142,12 @@ MUTANTS = (
          "tests/test_gf2.py::test_symplectic_fields_track_the_pairs_and_radical"),
     ),
     Mutant(
-        "lookahead-or",
+        # a vertex counts as stuck when one of its options raises a side
+        "stuck-on-either-option",
         "genus.py",
-        "if forced_w and forced_b:",
-        "if forced_w or forced_b:",
-        ("tests/test_genus.py::test_lookahead_is_the_least_extra_over_all_placements",),
+        ") and (",
+        ") or (",
+        ("tests/test_genus.py::test_stuck_is_whether_every_placement_raises_a_side",),
     ),
     Mutant(
         "residual-no-projection",
@@ -200,11 +201,11 @@ MUTANTS = (
         _LEAST_TESTS,
     ),
     Mutant(
-        # the lookahead cuts a node whose leaves could tie with a smaller code
-        "lookahead-ignores-ties",
+        # a stuck vertex cuts a node whose leaves could tie with a smaller code
+        "stuck-ignores-ties",
         "genus.py",
-        "suffix[k], cut - bound) >= cut",
-        "suffix[k], best - bound) >= best",
+        "if bound + 1 == cut and _stuck(",
+        "if bound + 1 == best and _stuck(",
         _LEAST_TESTS,
     ),
     Mutant(

@@ -397,6 +397,17 @@ def test_genus_refuses_past_its_node_budget(capsys, stg, connected_sums, seeded_
     code, out, _ = run(capsys, "genus", cover, "--max-nodes", "100000")
     assert code == 0 and out.startswith("min genus: 5\n")
 
+    # the default budget's headroom: the sum of the genus-3 covers of seeds
+    # 1001-1003 (30 vertices) has genus 3 + 3 + 3, and its least pass takes
+    # 443,953 of the 1,000,000 nodes
+    path = stg("s3", connected_sums(3, 2, 3))
+    assert run_within(10, capsys, "genus", path) == (0, (
+        "min genus: 9\n"
+        "ranks: 16 2\n"
+        "witness: 0=W 1=W 2=W 3=W 4=W 5=W 6=B 7=W 8=W 9=B 10=W 11=W 12=B 13=B 14=B"
+        " 15=B 16=W 17=W 18=W 19=W 20=W 21=W 22=W 23=B 24=W 25=W 26=B 27=B 28=W 29=W\n"),
+        "")
+
 
 def test_genus_and_check_search_under_the_default_budget(capsys, stg, monkeypatch):
     # genus without --max-nodes, and check, which has no flag for it, pass

@@ -13,7 +13,7 @@ from stargenus.errors import (InvalidGraphError, InvariantViolation, NotSourceSi
                               SearchBudgetExceeded)
 from stargenus.core_graph import double_cover
 from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx, random_star_graph
-from stargenus.genus import (_coupling_order, _lookahead, _mask, _search, _side_chords,
+from stargenus.genus import (_coupling_order, _mask, _search, _side_chords, _stuck,
                              build_pipeline, enumerate_permissible_partitions,
                              genus_of_partition, is_planar, min_genus, min_genus_of_pipeline,
                              partition_from_code, partition_genera, planarity_of_pipeline,
@@ -154,7 +154,7 @@ def test_coupling_order_matches_a_quadratic_reference(random_corpus, cover_pipes
         assert _coupling_order(chords_w, chords_b, pipe.linked) == order
 
 
-def test_lookahead_is_the_least_extra_over_all_placements():
+def test_stuck_is_whether_every_placement_raises_a_side():
     rng = random.Random(2012)
     for _ in range(2000):
         # vertices as the search sees them: a 4-vertex's chord or a triad's
@@ -176,8 +176,7 @@ def test_lookahead_is_the_least_extra_over_all_placements():
         extra = min(any(w & up_w for w, _ in placement) + any(b & up_b for _, b in placement)
                     for placement in itertools.product(*[[(mw, mb), (mb, mw)]
                                                          for mw, mb in rest]))
-        for cap in (1, 2, 3):
-            assert _lookahead(up_w, up_b, linked, cap) == min(extra, cap)
+        assert _stuck(up_w, up_b, linked) == (extra > 0)
 
 
 def test_child_bound_is_at_most_the_genus_its_vertex_adds():
@@ -356,16 +355,6 @@ def test_search_genus_finds_the_genus_and_a_leaf_of_it(random_corpus, seeded_cov
         assert rank_pair(pipe.matrix, first.witness) == first.ranks
         assert sum(first.ranks) == 2 * first.min_genus
         assert traced[first.witness.code ^ coloring_flip(pipe)] == first.min_genus
-
-
-def test_min_genus_thread_invariant():
-    g = chain(13)
-    baseline = min_genus(g, threads=1)
-    for threads in (2, 3, 8):
-        r = min_genus(g, threads=threads)
-        assert r.min_genus == baseline.min_genus
-        assert r.witness.side == baseline.witness.side
-        assert r.ranks == baseline.ranks
 
 
 def test_masked_rank_is_what_genus_uses(random_corpus):
