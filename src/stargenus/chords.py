@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .circuit import EulerCircuit, VertexClass
-from .core_graph import StarGraph
+from .core_graph import StarGraph, permutation_cycles
 from .errors import InvariantViolation
 from .gf2 import BitMatrix
 
@@ -221,15 +221,4 @@ def surgery(diagram: ChordDiagram) -> int:
             mate[p] = q
     if -1 in mate:
         raise ValueError("diagram does not cover every point exactly once")
-
-    seen = [False] * n
-    circles = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        circles += 1
-        arc = start
-        while not seen[arc]:
-            seen[arc] = True
-            arc = mate[(arc + 1) % n]
-    return circles
+    return len(permutation_cycles({a: mate[(a + 1) % n] for a in range(n)}))

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core_graph import HalfEdgeRef, Orientation, StarGraph
+from .core_graph import HalfEdgeRef, Orientation, StarGraph, permutation_cycles
 from .errors import InvariantViolation
 from .union_find import ParityUnionFind
 
@@ -127,22 +127,9 @@ def _trace(head_ref: dict[int, HalfEdgeRef], depart: dict[tuple[int, int], int],
            transitions: dict[int, dict[int, int]]) -> tuple[tuple[int, ...], ...]:
     """The transition walk: the directed closed walks the transitions induce.
     Each starts at its lowest edge id, and they are listed by that id."""
-    seen: set[int] = set()
-    cycles: list[tuple[int, ...]] = []
-    for start in head_ref:
-        if start in seen:
-            continue
-        walk = []
-        e = start
-        while e not in seen:
-            seen.add(e)
-            walk.append(e)
-            head = head_ref[e]
-            e = depart[(head.vertex, transitions[head.vertex][head.slot])]
-        if e != start:
-            raise InvariantViolation("transition walk did not close")
-        cycles.append(tuple(walk))
-    return tuple(cycles)
+    successor = {e: depart[(head.vertex, transitions[head.vertex][head.slot])]
+                 for e, head in head_ref.items()}
+    return tuple(map(tuple, permutation_cycles(successor)))
 
 
 def cycles_of(g: StarGraph, orientation: Orientation,
@@ -214,17 +201,7 @@ def find_rs_circuit(g: StarGraph, orientation: Orientation,
                 if classify_local(d, cand) == INVALID:
                     continue
                 # cycles of the local return permutation s -> ext(cand(s))
-                unseen = set(ins)
-                local_cycles = []
-                while unseen:
-                    s0 = min(unseen)
-                    cyc = []
-                    s = s0
-                    while s in unseen:
-                        unseen.remove(s)
-                        cyc.append(s)
-                        s = ext[cand[s]]
-                    local_cycles.append(cyc)
+                local_cycles = permutation_cycles({s: ext[cand[s]] for s in ins})
                 if len(local_cycles) < current:
                     ts[v] = cand
                     for cyc in local_cycles:

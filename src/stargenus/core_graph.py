@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .errors import InvalidGraphError, NotSourceSinkError, StgParseError
+from .errors import InvalidGraphError, InvariantViolation, NotSourceSinkError, StgParseError
 from .union_find import ParityUnionFind
 
 SUPPORTED_DEGREES = (4, 6)
@@ -227,6 +227,27 @@ def double_cover(g: StarGraph) -> StarGraph:
                 HalfEdgeRef(2 * e.b.vertex + (layer ^ r), e.b.slot),
             ))
     return StarGraph(vertices, edges)
+
+
+def permutation_cycles(successor: Mapping[int, int]) -> list[list[int]]:
+    """The cycles of the permutation `successor` of its keys. Each cycle is
+    listed from its first key in the mapping's order, and the cycles by
+    that key. Raises InvariantViolation when a walk does not return to its
+    start, that is when the mapping is not a permutation of its keys."""
+    rest = dict(successor)  # the keys on no cycle listed yet
+    cycles: list[list[int]] = []
+    for start in successor:
+        if start not in rest:
+            continue
+        cycle = []
+        x = start
+        while x in rest:
+            cycle.append(x)
+            x = rest.pop(x)
+        if x != start:
+            raise InvariantViolation(f"the walk from {start} does not return to it")
+        cycles.append(cycle)
+    return cycles
 
 
 # --- .stg text format ------------------------------------------------------

@@ -52,7 +52,7 @@ from .circuit import (EulerCircuit, TransitionSystem, VertexClass,
                       classify_vertices, find_rs_circuit)
 from .core_graph import Orientation, StarGraph, require_source_sink
 from .errors import InvariantViolation, SearchBudgetExceeded
-from .gf2 import BitMatrix, SymplecticBasis, masked_rank
+from .gf2 import BitMatrix, SymplecticBasis, index_mask, masked_rank
 from .union_find import ParityUnionFind
 
 if TYPE_CHECKING:  # numpy is imported where it is used, by partition_genera alone
@@ -216,7 +216,7 @@ def partition_genera(pipe: Pipeline) -> np.ndarray:
     rank = np.zeros(1, dtype=np.int16)
     order = _coupling_order(chords_w, chords_b, pipe.linked)
     for k in order:
-        live &= ~_mask(chords_w[k] + chords_b[k])
+        live &= ~index_mask(chords_w[k] + chords_b[k])
         index: dict[tuple, int] = {}
         children: list[SymplecticBasis] = []
         child: list[int] = []  # per state and bit, W then B
@@ -276,13 +276,6 @@ def _coupling_order(chords_w: list[list[int]], chords_b: list[list[int]],
     return order
 
 
-def _mask(chords: list[int]) -> int:
-    mask = 0
-    for i in chords:
-        mask |= 1 << i
-    return mask
-
-
 def _stuck(up_w: int, up_b: int, rest: Optional[tuple]) -> bool:
     """Whether some unplaced vertex raises a side whichever side it takes.
 
@@ -306,22 +299,24 @@ def _stuck(up_w: int, up_b: int, rest: Optional[tuple]) -> bool:
 def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[int, ...],
             order: list[int], least: bool,
             max_nodes: Optional[int]) -> tuple[int, int, int, int]:
-    """The branch-and-bound over the vertex positions of one pipeline, with
-    their chords as `_side_chords` lists them and `rows` the intersection
-    matrix's rows. It walks depth first, one position of `order` a level,
-    into the lower-bound child first (W on ties), with `order[0]` kept on
-    W: flipping every vertex swaps the two chord sets and keeps the genus.
-    Returns (genus, code, rank_w, rank_b) of the best leaf; `code` is over
-    the vertices in ascending order, as in `partition_from_code`, whatever
-    `order` is.
+    """The branch-and-bound over the vertex positions in `order`, all of
+    one pipeline's or any part of them, with their chords as `_side_chords`
+    lists them and `rows` the intersection matrix's rows. It walks depth
+    first, one position of `order` a level, into the lower-bound child
+    first (W on ties), with `order[0]` kept on W: flipping every vertex of
+    `order` swaps the two chord sets and keeps the genus. Returns (genus,
+    code, rank_w, rank_b) of the best leaf, over the chords of `order`'s
+    positions alone; `code` is over all the pipeline's vertices in
+    ascending order, as in `partition_from_code`, whatever `order` is, with
+    the positions outside `order` on W.
 
     A leaf beats the best one so far when its genus is lower, or, when
     `least`, equal with a smaller code. So with `least` the best leaf ends
     as the least code of the minimal genus, in any child order. That
-    relies on `order[0]` being position 0: of a code and its complement,
-    which have the same genus, the smaller has position 0 on W. Without
-    `least` the search ends on the first leaf of the minimal genus it
-    meets.
+    relies on `order[0]` being the lowest position of `order`: of a code
+    and its complement on `order`, which have the same genus, the smaller
+    has that position on W. Without `least` the search ends on the first
+    leaf of the minimal genus it meets.
 
     A node's half rank sum bounds the genus of every leaf below it (a
     principal submatrix never has larger rank), and so does the bound plus
@@ -344,12 +339,12 @@ def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[in
         raise ValueError(f"max_nodes must be at least 0, got {max_nodes}")
     n = len(order)
     # per depth: the chords, their masks and the code bit of the position
-    # placed there
+    # placed there, which is read over all the graph's vertices
     to_w = [chords_w[k] for k in order]
     to_b = [chords_b[k] for k in order]
-    mask_w = [_mask(chords) for chords in to_w]
-    mask_b = [_mask(chords) for chords in to_b]
-    bit = [1 << (n - 1 - k) for k in order]
+    mask_w = [index_mask(chords) for chords in to_w]
+    mask_b = [index_mask(chords) for chords in to_b]
+    bit = [1 << (len(chords_w) - 1 - k) for k in order]
     # suffix[k]: the positions placed below depth k, as (mask_w, mask_b,
     # rest) cells for `_stuck`, which the depths share, so building it
     # costs O(n)

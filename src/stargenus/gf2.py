@@ -241,7 +241,13 @@ def masked_rank(m: BitMatrix, indices) -> int:
     with the same rank as the submatrix, since column positions are
     irrelevant to rank.
     """
+    mask = index_mask(indices)
+    return rank_of_rows(m.rows[i] & mask for i in indices)
+
+
+def index_mask(indices) -> int:
+    """The bitmask with bit i set for each index i in `indices`."""
     mask = 0
     for i in indices:
         mask |= 1 << i
-    return rank_of_rows(m.rows[i] & mask for i in indices)
+    return mask

@@ -36,7 +36,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .core_graph import HalfEdgeRef, Orientation, StarGraph, require_source_sink
+from .core_graph import (HalfEdgeRef, Orientation, StarGraph, permutation_cycles,
+                         require_source_sink)
 from .errors import DEFAULT_CAP, InvariantViolation, OracleCapExceeded
 
 if TYPE_CHECKING:  # annotations only: the oracle runs on core_graph alone
@@ -113,20 +114,6 @@ def _successor_tables(g: StarGraph, orientation: Orientation) -> _SuccessorTable
         black=tuple(tuple(heads[m[1 - c]] for m in at_tail) for c in (0, 1)))
 
 
-def _cycle_count(successor: list[int]) -> int:
-    seen = [False] * len(successor)
-    cycles = 0
-    for start in range(len(successor)):
-        if seen[start]:
-            continue
-        cycles += 1
-        e = start
-        while not seen[e]:
-            seen[e] = True
-            e = successor[e]
-    return cycles
-
-
 def trace_faces(g: StarGraph, orientation: Orientation, coloring: AtomColoring) -> FaceCount:
     """Face counts and genus of the checkerboard surface for one colouring."""
     return _count_faces(_successor_tables(g, orientation), coloring)
@@ -140,8 +127,8 @@ def _count_faces(t: _SuccessorTables, coloring: AtomColoring) -> FaceCount:
     counts are the white and the black faces.
     """
     bit = [coloring.bits[v] for v in t.vertices]
-    white = _cycle_count([t.white[bit[h]][e] for e, h in enumerate(t.head)])
-    black = _cycle_count([t.black[bit[v]][e] for e, v in enumerate(t.tail)])
+    white = len(permutation_cycles({e: t.white[bit[h]][e] for e, h in enumerate(t.head)}))
+    black = len(permutation_cycles({e: t.black[bit[v]][e] for e, v in enumerate(t.tail)}))
     genus = _genera_of_faces(white + black, len(t.vertices), len(t.head))
     return FaceCount(white, black, 2 - 2 * genus, genus)
 

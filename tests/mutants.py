@@ -68,6 +68,17 @@ MUTANTS = (
          "tests/test_cli.py::test_input_order_never_reaches_an_answer[cover14]"),
     ),
     Mutant(
+        # each cycle is listed from its last key, and the cycles in reverse
+        "cycles-from-last-key",
+        "core_graph.py",
+        "for start in successor:",
+        "for start in reversed(successor):",
+        ("tests/test_core_graph.py::test_permutation_cycles_start_at_their_first_key",
+         "tests/test_circuit.py::test_circuit_starts_at_lowest_edge",
+         "tests/test_circuit.py::test_circuit_fixtures",
+         "tests/test_circuit.py::test_cycles_of_canonical_fixtures"),
+    ),
+    Mutant(
         "anchor-visit",
         "oracle.py",
         "pos[0 if principal is None else (principal + 1) % 3]",
@@ -78,8 +89,8 @@ MUTANTS = (
     Mutant(
         "code-bit",
         "genus.py",
-        "bit = [1 << (n - 1 - k) for k in order]",
-        "bit = [1 << (n - 1 - k) for k in range(len(order))]",
+        "bit = [1 << (len(chords_w) - 1 - k) for k in order]",
+        "bit = [1 << (len(chords_w) - 1 - k) for k in range(len(order))]",
         ("tests/test_genus.py::test_search_genus_finds_the_genus_and_a_leaf_of_it",
          "tests/test_cli.py::test_check_all_partitions_on_a_14_vertex_cover"),
     ),

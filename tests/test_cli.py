@@ -409,6 +409,17 @@ def test_genus_refuses_past_its_node_budget(capsys, stg, connected_sums, seeded_
         "")
 
 
+def test_genus_on_a_1998_vertex_planar_sum_is_fast(capsys, stg, edge_swap_sum):
+    # the search takes 2n - 1 nodes on planar sums, so the default budget
+    # admits this one, which a search of about n^2 / 3 nodes overruns
+    seeds = (2, 5, 11, 14, 16, 17)
+    covers = [double_cover(random_star_graph(seeds[i % 6], 1, 2)) for i in range(333)]
+    g = edge_swap_sum(covers)
+    assert g.n_vertices == 1998 and validate(g) == []
+    code, out, _ = run_within(10, capsys, "genus", stg("p", g))
+    assert code == 0 and out.splitlines()[0] == "min genus: 0"
+
+
 def test_genus_and_check_search_under_the_default_budget(capsys, stg, monkeypatch):
     # genus without --max-nodes, and check, which has no flag for it, pass
     # DEFAULT_MAX_NODES to the search

@@ -13,8 +13,8 @@ import pytest
 
 from stargenus.core_graph import (Edge, HalfEdgeRef, StarGraph, double_cover,
                                   find_source_sink_orientation, is_source_sink,
-                                  parse_stg, serialize_stg, validate)
-from stargenus.errors import InvalidGraphError, StgParseError
+                                  parse_stg, permutation_cycles, serialize_stg, validate)
+from stargenus.errors import InvalidGraphError, InvariantViolation, StgParseError
 from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx, random_star_graph
 
 
@@ -269,3 +269,16 @@ def test_random_star_graph_is_deterministic():
     assert a == b
     assert a.n_vertices == 6 and a.n_edges == 14
     assert validate(a) == []
+
+
+# --- permutation cycles ----------------------------------------------------
+
+def test_permutation_cycles_start_at_their_first_key():
+    assert permutation_cycles({3: 0, 0: 3, 1: 2, 2: 5, 5: 1, 4: 4}) == [[3, 0], [1, 2, 5], [4]]
+    assert permutation_cycles({}) == []
+
+
+def test_permutation_cycles_refuse_a_mapping_that_is_not_a_permutation():
+    # 0 -> 1 -> 1 -> ... never returns to 0
+    with pytest.raises(InvariantViolation):
+        permutation_cycles({0: 1, 1: 1})

@@ -13,12 +13,12 @@ from stargenus.errors import (InvalidGraphError, InvariantViolation, NotSourceSi
                               SearchBudgetExceeded)
 from stargenus.core_graph import double_cover
 from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx, random_star_graph
-from stargenus.genus import (_coupling_order, _mask, _search, _side_chords, _stuck,
+from stargenus.genus import (_coupling_order, _search, _side_chords, _stuck,
                              build_pipeline, enumerate_permissible_partitions,
                              genus_of_partition, is_planar, min_genus, min_genus_of_pipeline,
                              partition_from_code, partition_genera, planarity_of_pipeline,
                              rank_pair, search_genus)
-from stargenus.gf2 import BitMatrix, SymplecticBasis, masked_rank
+from stargenus.gf2 import BitMatrix, SymplecticBasis, index_mask, masked_rank
 from stargenus.oracle import coloring_flip, traced_genera
 from stargenus.union_find import ParityUnionFind
 
@@ -203,7 +203,8 @@ def test_child_bound_is_at_most_the_genus_its_vertex_adds():
         # W sends (white, black) chords, B the other way round
         sends = (vertex, []) if kind != "dchord" else (vertex[:1], vertex[1:])
         for to_white, to_black in (sends, sends[::-1]):
-            bound = bool(_mask(to_white) & white.raisers) + bool(_mask(to_black) & black.raisers)
+            bound = (bool(index_mask(to_white) & white.raisers)
+                     + bool(index_mask(to_black) & black.raisers))
             grown_w, grown_b = white, black
             for i in to_white:
                 grown_w = grown_w.add(i)
@@ -268,6 +269,35 @@ def test_least_pass_matches_the_ascending_pass_and_the_flat_scan(small_source_si
         assert min_genus_of_pipeline(pipe).witness.code == genera.index(genus)
         reordered += coupling != list(range(n))
     assert reordered >= 10
+
+
+def test_search_runs_on_each_component_alone(connected_sums):
+    # no linked pair joins two components (vertices joined by linked
+    # chords), so the matrix is block-diagonal over them: `_search` run on
+    # each component, in coupling order, which starts each at its lowest
+    # position, adds up to the least pass over the whole graph
+    for blocks in (2, 3):
+        pipe = build_pipeline(connected_sums(3, 2, blocks))
+        rows, chords_w, chords_b = _search_inputs(pipe)
+        n = len(chords_w)
+        owner = {i: k for k in range(n) for i in chords_w[k] + chords_b[k]}
+        uf = ParityUnionFind(n)
+        for i, j in pipe.linked:
+            uf.union(owner[i], owner[j], 0)
+        components: dict[int, list[int]] = {}
+        for k in _coupling_order(chords_w, chords_b, pipe.linked):
+            components.setdefault(uf.find(k)[0], []).append(k)
+        assert len(components) > 1
+        genus = code = rank_w = rank_b = 0
+        for part in components.values():
+            assert part[0] == min(part)
+            g, c, w, b = _search(chords_w, chords_b, rows, part, True, None)
+            genus, code, rank_w, rank_b = genus + g, code | c, rank_w + w, rank_b + b
+        least = min_genus_of_pipeline(pipe)
+        assert (genus, code, (rank_w, rank_b)) == \
+            (least.min_genus, least.witness.code, least.ranks)
+        leaf = partition_from_code(pipe.diagram, list(pipe.graph.vertices), code)
+        assert rank_pair(pipe.matrix, leaf) == (rank_w, rank_b)
 
 
 def test_node_budget_counts_every_node_of_a_call(seeded_covers):
