@@ -172,30 +172,18 @@ def find_rs_circuit(g: StarGraph, orientation: Orientation,
 
     for v, d in g.vertices.items():
         ins = sorted(ts[v])
-        outs = sorted(set(ts[v].values()))
+        outs = sorted(ts[v].values())
         while True:
             root_of = {s: dsu.find(cycle_of[arrive[(v, s)]])[0] for s in ins}
             current = len(set(root_of.values()))
             if current < 2:
                 break
             # Where does the walk re-enter v after leaving each out-slot?
-            # Determined by which visits share a cycle: a lone visit returns
-            # to itself, paired visits return to each other.
-            by_root: dict[int, list[int]] = {}
-            for s in ins:
-                by_root.setdefault(root_of[s], []).append(s)
-            ext: dict[int, int] = {}
-            for group in by_root.values():
-                if len(group) == 1:
-                    ext[ts[v][group[0]]] = group[0]
-                elif len(group) == 2:
-                    s, t = group
-                    ext[ts[v][s]] = t
-                    ext[ts[v][t]] = s
-                else:
-                    raise InvariantViolation("three co-cyclic visits at an eligible vertex")
-
-            applied = False
+            # A lone visit returns to itself, paired visits return to each
+            # other. v has at most three visits and they lie on at least two
+            # cycles, so no cycle holds three of them.
+            ext = {ts[v][s]: next((t for t in ins if t != s and root_of[t] == root_of[s]), s)
+                   for s in ins}
             for image in itertools.permutations(outs):
                 cand = dict(zip(ins, image))
                 if classify_local(d, cand) == INVALID:
@@ -209,9 +197,8 @@ def find_rs_circuit(g: StarGraph, orientation: Orientation,
                             dsu.union(root_of[cyc[0]], root_of[s], 0)
                     live -= current - len(local_cycles)
                     merge_steps += 1
-                    applied = True
                     break
-            if not applied:
+            else:
                 raise InvariantViolation(f"no merging bijection at vertex {v}")
 
     if live != 1:

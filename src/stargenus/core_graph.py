@@ -145,8 +145,7 @@ def validate(g: StarGraph) -> list[str]:
         index = {v: i for i, v in enumerate(g.vertices)}
         for e in g.edges:
             uf.union(index[e.a.vertex], index[e.b.vertex], 0)
-        roots = {uf.find(i)[0] for i in index.values()}
-        if len(roots) > 1:
+        if any(uf.find(i)[0] for i in index.values()):  # a root other than key 0
             violations.append("disconnected")
 
     return violations

@@ -2,7 +2,7 @@
 
 It is the one union-find of the package. Plain connectivity is the case
 where every link has parity 0: `union(x, y, 0)` merges two sets, which
-never contradicts, and `find(x)[0]` is the root of x's set.
+never contradicts, and `find(x)[0]` is the root of x's set, its lowest key.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ class ParityUnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.parity = [0] * n  # parity of the key relative to its parent
-        self.rank = [0] * n
 
     def find(self, x: int) -> tuple[int, int]:
-        """Return (root, parity of x relative to that root)."""
+        """Return (root, parity of x relative to that root); the root is the
+        lowest key of x's set."""
         parent, parity = self.parent, self.parity
         root, acc = x, 0
         while parent[root] != root:
@@ -43,21 +43,13 @@ class ParityUnionFind:
         ry, py = self.find(y)
         if rx == ry:
             return (px ^ py) == diff
-        if self.rank[rx] < self.rank[ry]:
+        if ry < rx:  # the higher root links under the lower one
             rx, ry = ry, rx
-            px, py = py, px
         self.parent[ry] = rx
         self.parity[ry] = px ^ py ^ diff
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
         return True
 
     def sides(self) -> list[int]:
         """Every key's parity relative to the lowest key of its set, so the
         lowest key of each set reads 0."""
-        anchor: dict[int, int] = {}
-        out = []
-        for x in range(len(self.parent)):  # ascending, so a set's lowest key anchors it
-            root, par = self.find(x)
-            out.append(par ^ anchor.setdefault(root, par))
-        return out
+        return [self.find(x)[1] for x in range(len(self.parent))]

@@ -79,6 +79,29 @@ MUTANTS = (
          "tests/test_circuit.py::test_cycles_of_canonical_fixtures"),
     ),
     Mutant(
+        # every root is the highest key of its set, so sides() anchors each
+        # set there and the orientation of some components flips
+        "union-links-higher-root",
+        "union_find.py",
+        "if ry < rx:",
+        "if ry > rx:",
+        ("tests/test_union_find.py::test_parity_against_explicit_colouring",
+         "tests/test_core_graph.py::test_ghopf_orientation_frozen",
+         "tests/test_cli.py::test_orient_frozen",
+         "tests/test_circuit.py::test_circuit_fixtures"),
+    ),
+    Mutant(
+        # a visit's partner is read from another cycle: the return map is no
+        # permutation, or the merge counts cycles it does not make
+        "merge-partner-on-another-cycle",
+        "circuit.py",
+        "root_of[t] == root_of[s]",
+        "root_of[t] != root_of[s]",
+        ("tests/test_circuit.py::test_circuit_starts_at_lowest_edge",
+         "tests/test_circuit.py::test_circuit_covers_every_edge_once",
+         "tests/test_circuit.py::test_find_rs_circuit_deterministic"),
+    ),
+    Mutant(
         "anchor-visit",
         "oracle.py",
         "pos[0 if principal is None else (principal + 1) % 3]",

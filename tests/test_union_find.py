@@ -56,7 +56,8 @@ def test_parity_against_explicit_colouring():
             ry, py = uf.find(y)
             assert rx == ry
             assert px ^ py == d
-        # sides() is the explicit colouring with each component's lowest key at 0
+        # each component's root is its lowest key, and sides() is the
+        # explicit colouring with that key at 0
         adjacent = {x: [] for x in range(n)}
         for x, y, d in constraints:
             adjacent[x].append((y, d))
@@ -69,6 +70,7 @@ def test_parity_against_explicit_colouring():
             stack = [lowest]
             while stack:
                 x = stack.pop()
+                assert uf.find(x)[0] == lowest
                 for y, d in adjacent[x]:
                     if y not in explicit:
                         explicit[y] = explicit[x] ^ d
