@@ -203,8 +203,6 @@ def find_rs_circuit(g: StarGraph, orientation: Orientation,
 
     if live != 1:
         raise InvariantViolation("merge finished with more than one cycle")
-    if merge_steps > n_cycles - 1 and n_cycles > 0:
-        raise InvariantViolation("merge step budget exceeded")
     if stats is not None:
         stats["initial_cycles"] = n_cycles
         stats["merge_steps"] = merge_steps

@@ -259,12 +259,21 @@ def permutation_cycles(successor: Mapping[int, int]) -> list[list[int]]:
 # before edge lines, each kind in any order. serialize -> parse round-trips exactly.
 
 
+def _int(token: str) -> int:
+    """int(token) for ASCII digits after an optional sign only. `int` also
+    takes `1_0`, other scripts' digits such as U+0660, and whitespace, which
+    no token of `str.split` holds. Raises ValueError."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return int(token)
+
+
 def _parse_ref(token: str, line: int) -> HalfEdgeRef:
     head, sep, tail = token.partition(".")
     if not sep:
         raise StgParseError(line, f"expected <vertex>.<slot>, got {token!r}")
     try:
-        return HalfEdgeRef(int(head), int(tail))
+        return HalfEdgeRef(_int(head), _int(tail))
     except ValueError:
         raise StgParseError(line, f"expected <vertex>.<slot>, got {token!r}") from None
 
@@ -284,7 +293,7 @@ def parse_stg(text: str) -> StarGraph:
     if len(header) != 3 or header[0] != "stargraph":
         raise StgParseError(lineno, "expected header 'stargraph <n_vertices> <n_edges>'")
     try:
-        n_vertices, n_edges = int(header[1]), int(header[2])
+        n_vertices, n_edges = _int(header[1]), _int(header[2])
     except ValueError:
         raise StgParseError(lineno, "header counts must be integers") from None
     if n_vertices < 0 or n_edges < 0:
@@ -298,7 +307,7 @@ def parse_stg(text: str) -> StarGraph:
         if len(tokens) != 3 or tokens[0] != "vertex":
             raise StgParseError(lineno, "expected 'vertex <id> <degree>'")
         try:
-            vid, deg = int(tokens[1]), int(tokens[2])
+            vid, deg = _int(tokens[1]), _int(tokens[2])
         except ValueError:
             raise StgParseError(lineno, "vertex id and degree must be integers") from None
         if vid in vertices:
@@ -311,7 +320,7 @@ def parse_stg(text: str) -> StarGraph:
         if len(tokens) != 4 or tokens[0] != "edge":
             raise StgParseError(lineno, "expected 'edge <id> <v>.<slot> <v>.<slot>'")
         try:
-            eid = int(tokens[1])
+            eid = _int(tokens[1])
         except ValueError:
             raise StgParseError(lineno, "edge id must be an integer") from None
         if eid in ids:

@@ -16,6 +16,8 @@ import re
 from .chords import ChordDiagram, ChordGroup
 from .core_graph import StarGraph, validate
 
+MAX_TRIES = 1000  # the draws random_star_graph makes before it gives up
+
 
 def g8() -> StarGraph:
     return StarGraph.build({0: 4}, [((0, 0), (0, 1)), ((0, 2), (0, 3))])
@@ -54,7 +56,7 @@ def chain(k: int) -> StarGraph:
     return StarGraph.build({v: 4 for v in range(k)}, pairs)
 
 
-def random_star_graph(seed: int, n4: int, n6: int, max_tries: int = 1000) -> StarGraph:
+def random_star_graph(seed: int, n4: int, n6: int) -> StarGraph:
     """Seeded random valid star graph with n4 4-vertices then n6 6-vertices.
 
     Slot stubs are shuffled and paired off; disconnected draws are retried
@@ -66,7 +68,7 @@ def random_star_graph(seed: int, n4: int, n6: int, max_tries: int = 1000) -> Sta
     degrees.update({n4 + v: 6 for v in range(n6)})
     stubs = [(v, s) for v, d in degrees.items() for s in range(d)]
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         shuffled = stubs[:]
         rng.shuffle(shuffled)
         pairs = [(shuffled[i], shuffled[i + 1]) for i in range(0, len(shuffled), 2)]

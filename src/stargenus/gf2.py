@@ -213,23 +213,18 @@ class SymplecticBasis:
         radical vector, so bases with equal gains can have different keys.
         """
         echelon = _echelon(self.radical, live)
-        # as in `add`, projecting e_j off a pair with images (u, v) adds u
-        # to its image when bit j of v is set, and v when bit j of u is
-        correction = [0] * len(self.rows)
-        for u, v in self.pairs:
-            u &= live
-            v &= live
-            for a, b in ((u, v), (v, u)):
-                while a:
-                    low = a & -a
-                    correction[low.bit_length() - 1] ^= b
-                    a ^= low
         projected = []
         rest = live
         while rest:
             low = rest & -rest
             j = low.bit_length() - 1
-            projected.append(self.rows[j] & live ^ correction[j])
+            x = self.rows[j]
+            for u, v in self.pairs:  # as in `add`
+                if v >> j & 1:
+                    x ^= u
+                if u >> j & 1:
+                    x ^= v
+            projected.append(x & live)
             rest ^= low
         return tuple(sorted(echelon.values())), tuple(projected)
 

@@ -12,16 +12,17 @@ which is always the canonical one, `core_graph.require_source_sink(g)`:
 copy, which `build_pipeline` takes from the same call.
 
 The face-successor rule is written once, in `_successor_tables`, which
-gives for every edge its next edge on the white and on the black face for
-either colour bit of the vertex the face passes through. `trace_faces`
-walks those tables for one colouring, through `_count_faces`, which callers
-that trace many colourings give tables built once. `traced_genera` builds
-them once per graph and counts the faces of half the colourings at once,
-those in which the last vertex (by ascending id) has bit 0, in one
-recursion over the vertices from the last one down: fixing a vertex's
-colour bit adds the links out of its face slots, and a table of open path
-segments per colouring tells which link closes a face. Swapping every
-colour keeps the genus, so the other half are read off the traced half.
+numbers the face slots (a white one at each edge's head, a black one at its
+tail) and gives for every slot its next slot on its face for either colour
+bit of the slot's vertex. `trace_faces` walks those tables for one
+colouring, through `_count_faces`, which callers that trace many colourings
+give tables built once. `traced_genera` links the same tables, built once
+per graph, and counts the faces of half the colourings at once, those in
+which the last vertex (by ascending id) has bit 0, in one recursion over
+the vertices from the last one down: fixing a vertex's colour bit adds the
+links out of its face slots, and a table of open path segments per
+colouring tells which link closes a face. Swapping every colour keeps the
+genus, so the other half are read off the traced half.
 Both turn face counts into genera by one rule, `_genera_of_faces`.
 Colourings that agree on the vertices done so far share their links, and
 both bits of a vertex link the same slots in one pass, so each traced
@@ -72,18 +73,16 @@ class FaceCount:
 
 @dataclass(frozen=True)
 class _SuccessorTables:
-    """Face successors by edge index (the position in ascending edge id order).
-
-    white[c][e] is the edge after e on its white face when the head vertex
-    of e has colour bit c; black[c][e] likewise through the tail vertex.
-    head[e] and tail[e] index `vertices`, the ascending vertex ids.
+    """Face successors by slot: slot e < m is the white slot at the head of
+    the e-th edge (by ascending id), slot m + e the black slot at its tail.
+    owner[s] indexes `vertices`, the ascending vertex ids, at the vertex of
+    s; succ[c][s] is the next slot on the face of s when that vertex has
+    colour bit c. White slots lead to white slots, black ones to black.
     """
 
     vertices: tuple[int, ...]
-    head: tuple[int, ...]
-    tail: tuple[int, ...]
-    white: tuple[tuple[int, ...], tuple[int, ...]]
-    black: tuple[tuple[int, ...], tuple[int, ...]]
+    owner: tuple[int, ...]
+    succ: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _successor_tables(g: StarGraph, orientation: Orientation) -> _SuccessorTables:
@@ -92,26 +91,25 @@ def _successor_tables(g: StarGraph, orientation: Orientation) -> _SuccessorTable
     face is followed backward from tail slots through black angles. The
     angle (i, i+1) at a vertex is white when i = bit mod 2."""
     ends = [orientation.direction[e.id] for e in g.edges]
-    tails = {(t.vertex, t.slot): e for e, (t, _) in enumerate(ends)}
-    heads = {(h.vertex, h.slot): e for e, (_, h) in enumerate(ends)}
+    m = len(ends)
+    at = [h for _, h in ends] + [t for t, _ in ends]  # the half-edge of each slot
+    # a face leaves a tail forward to a white slot, a head backward to a black one
+    reach = {(r.vertex, r.slot): s for s, r in enumerate(at[m:] + at[:m])}
 
-    def mates(ref: HalfEdgeRef) -> tuple[tuple[int, int], tuple[int, int]]:
-        # [p]: the other slot of the angle at ref whose lower slot is p mod 2
+    def turns(ref: HalfEdgeRef) -> tuple[int, int]:
+        # [p]: the slot a face reaches from ref through the angle at ref
+        # whose lower slot is p mod 2
         v, s = ref.vertex, ref.slot
         d = g.vertices[v]
-        down, up = (v, (s - 1) % d), (v, (s + 1) % d)
+        down, up = reach[v, (s - 1) % d], reach[v, (s + 1) % d]
         return (down, up) if s % 2 else (up, down)
 
-    at_head = [mates(h) for _, h in ends]
-    at_tail = [mates(t) for t, _ in ends]
-    vertices = tuple(g.vertices)
-    index = {v: k for k, v in enumerate(vertices)}
+    turn = [turns(r) for r in at]  # white faces turn at parity c, black ones at 1 - c
+    index = {v: k for k, v in enumerate(g.vertices)}
     return _SuccessorTables(
-        vertices,
-        head=tuple(index[h.vertex] for _, h in ends),
-        tail=tuple(index[t.vertex] for t, _ in ends),
-        white=tuple(tuple(tails[m[c]] for m in at_head) for c in (0, 1)),
-        black=tuple(tuple(heads[m[1 - c]] for m in at_tail) for c in (0, 1)))
+        tuple(g.vertices), tuple(index[r.vertex] for r in at),
+        tuple(tuple(p[c] for p in turn[:m]) + tuple(p[1 - c] for p in turn[m:])
+              for c in (0, 1)))
 
 
 def trace_faces(g: StarGraph, orientation: Orientation, coloring: AtomColoring) -> FaceCount:
@@ -121,16 +119,15 @@ def trace_faces(g: StarGraph, orientation: Orientation, coloring: AtomColoring) 
 
 def _count_faces(t: _SuccessorTables, coloring: AtomColoring) -> FaceCount:
     """`trace_faces` on the graph's successor tables, which callers that
-    trace many colourings of one graph build once.
-
-    Both successor maps are permutations of the edge set, so their cycle
-    counts are the white and the black faces.
+    trace many colourings of one graph build once. The faces are the cycles
+    of one slot permutation, the white ones those whose first slot is < m.
     """
     bit = [coloring.bits[v] for v in t.vertices]
-    white = len(permutation_cycles({e: t.white[bit[h]][e] for e, h in enumerate(t.head)}))
-    black = len(permutation_cycles({e: t.black[bit[v]][e] for e, v in enumerate(t.tail)}))
-    genus = _genera_of_faces(white + black, len(t.vertices), len(t.head))
-    return FaceCount(white, black, 2 - 2 * genus, genus)
+    m = len(t.owner) // 2
+    faces = permutation_cycles({s: t.succ[bit[v]][s] for s, v in enumerate(t.owner)})
+    white = sum(cycle[0] < m for cycle in faces)
+    genus = _genera_of_faces(len(faces), len(t.vertices), m)
+    return FaceCount(white, len(faces) - white, 2 - 2 * genus, genus)
 
 
 def _add_links(start: np.ndarray, end: np.ndarray, faces: np.ndarray,
@@ -204,9 +201,7 @@ def traced_genera(g: StarGraph, orientation: Orientation,
         raise OracleCapExceeded(f"{n} vertices: no memory for the genera of "
                                 f"2^{n} colourings") from None
     t = _successor_tables(g, orientation)
-    m = len(t.head)
-    succ = [t.white[c] + tuple(m + e for e in t.black[c]) for c in (0, 1)]
-    owner = t.head + t.tail  # white slots [0, m) at heads, black slots [m, 2m) at tails
+    m = len(t.owner) // 2
     # A slot is an open end until its own vertex is done, and an open start
     # until the vertex of its predecessor is. A face enters a vertex at a head
     # and leaves it at a tail, so a white slot's predecessor is at the slot's
@@ -219,16 +214,16 @@ def traced_genera(g: StarGraph, orientation: Orientation,
             rank[s] = i
         return rank
 
-    as_end, as_start = latest_first(owner), latest_first(t.tail + t.head)
+    as_end, as_start = latest_first(t.owner), latest_first(t.owner[m:] + t.owner[:m])
     slots_at: list[list[int]] = [[] for _ in range(n)]
-    for s, v in enumerate(owner):
+    for s, v in enumerate(t.owner):
         slots_at[v].append(s)
 
     width = 2 * m
     slot = np.min_scalar_type(width)  # the dtype of slot ranks in the tables
     # the k-th vertex's slots link ends[k][i] -> targets[k][i, c] when its bit is c
     ends = [[as_end[s] for s in own] for own in slots_at]
-    targets = [np.array([[as_start[succ[c][s]] for c in (0, 1)] for s in own], dtype=slot)
+    targets = [np.array([[as_start[t.succ[c][s]] for c in (0, 1)] for s in own], dtype=slot)
                for own in slots_at]
 
     start = np.empty((1, width), dtype=slot)

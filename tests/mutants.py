@@ -152,9 +152,17 @@ MUTANTS = (
         "    t = _successor_tables(g, orientation)\n",
         "    t = _successor_tables(g, orientation)\n"
         "    import dataclasses\n"
-        "    t = dataclasses.replace(t, head=tuple(n - 1 - v for v in t.head),\n"
-        "                            tail=tuple(n - 1 - v for v in t.tail))\n",
+        "    t = dataclasses.replace(t, owner=tuple(n - 1 - v for v in t.owner))\n",
         ("tests/test_oracle.py::test_traced_genera_match_trace_faces",),
+    ),
+    Mutant(
+        # every slot's predecessor is taken to be at the slot's own vertex, so
+        # the columns trimmed off as vertices are done include open starts
+        "slot-predecessor-not-rotated",
+        "oracle.py",
+        "latest_first(t.owner[m:] + t.owner[:m])",
+        "latest_first(t.owner)",
+        ("tests/test_oracle.py::test_traced_genera_links_only_open_columns",),
     ),
     Mutant(
         # the inverse of the right axis permutation, which differs from it
@@ -190,6 +198,18 @@ MUTANTS = (
         "return tuple(sorted(echelon.values())), ()",
         ("tests/test_gf2.py::test_symplectic_residual_fixes_every_gain",
          "tests/test_cli.py::test_check_all_partitions_on_a_14_vertex_cover"),
+    ),
+    Mutant(
+        # e_j is projected off the u of each pair but not off its v. The key
+        # stays exact (with A the matrix on the live indices, the true
+        # projections are A + P + P^T for the mutant's P), so every answer is
+        # kept and only fewer states merge: the projections' symmetry shows it
+        "residual-projects-one-half",
+        "gf2.py",
+        "                if u >> j & 1:\n"
+        "                    x ^= v\n",
+        "",
+        ("tests/test_gf2.py::test_symplectic_residual_projections_are_a_gram_matrix",),
     ),
     Mutant(
         "coupling-tie-high",

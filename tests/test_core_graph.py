@@ -248,6 +248,13 @@ def test_parse_accepts_comments_and_blank_lines():
     ("stargraph 1 1\nvertex 0 4\nedge 0 0.0 0.x\n", 3, "0.x"),
     ("stargraph -1 2\n", 1, "non-negative"),
     ("stargraph 1 1\nvertex 0 4\nedge e0 0.0 0.1\n", 3, "edge id must be an integer"),
+    # int() takes these, but .stg integers are ASCII decimal digits only
+    ("stargraph 1_0 1\n", 1, "header counts must be integers"),
+    ("stargraph 1 1\nvertex \u0660 4\nedge 0 0.0 0.1\n", 2, "integers"),
+    ("stargraph 1 1\nvertex 0 \uff14\nedge 0 0.0 0.1\n", 2, "integers"),
+    ("stargraph 1 1\nvertex 0 4\nedge 1_0 0.2 0.3\n", 3, "edge id must be an integer"),
+    ("stargraph 1 1\nvertex 0 4\nedge 0 0.0 \u0660.1\n", 3, "\u0660.1"),
+    ("stargraph 1 1\nvertex 0 4\nedge 0 0.0 0.0_1\n", 3, "0.0_1"),
 ])
 def test_parse_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(StgParseError) as err:

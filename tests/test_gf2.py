@@ -174,6 +174,21 @@ def test_symplectic_fields_track_the_pairs_and_radical():
     assert unchanged > 50
 
 
+def test_symplectic_residual_projections_are_a_gram_matrix():
+    # bit i of e_j's projected image is B(e_i', e_j') for the projections off
+    # the pairs, so on the live indices the images are symmetric with a zero
+    # diagonal; projecting off only one vector of each pair breaks both
+    rng = random.Random(2013)
+    for m, order, bases in symplectic_insertions():
+        for k, basis in enumerate(bases):
+            live = [j for j in sorted(order[k:]) if rng.random() < 0.7]
+            _, projected = basis.residual(sum(1 << j for j in live))
+            for a, i in enumerate(live):
+                assert [projected[b] >> i & 1 for b in range(len(live))] == \
+                    [projected[a] >> j & 1 for j in live]
+                assert not projected[a] >> i & 1
+
+
 def _subsets(items):
     return [[x for k, x in enumerate(items) if code >> k & 1] for code in range(1 << len(items))]
 

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stargenus import cli
+from stargenus import cli, oracle
 from stargenus.core_graph import (Edge, HalfEdgeRef, StarGraph, double_cover,
                                   find_source_sink_orientation, require_source_sink,
                                   serialize_stg)
@@ -285,6 +285,22 @@ def test_traced_genera_working_set_is_bounded(seeded_covers):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def test_traced_genera_links_only_open_columns(small_source_sink, seeded_covers, monkeypatch):
+    # the segment tables keep the columns of the slots still open, and every
+    # link must stay inside them: ranked as ends by their own vertex and as
+    # starts by their predecessor's, the slots of the vertices not yet done
+    # come first either way
+    real = oracle._add_links
+
+    def in_open_columns(start, end, faces, ends, targets):
+        assert max(ends) < start.shape[1] and targets.max() < end.shape[1]
+        real(start, end, faces, ends, targets)
+
+    monkeypatch.setattr(oracle, "_add_links", in_open_columns)
+    for g in small_source_sink + seeded_covers((3, 4, 5, 6, 7)):
+        traced_genera(g, require_source_sink(g))
 
 
 def test_all_partitions_sweep_reports_a_wrong_genus(capsys, tmp_path, monkeypatch):
