@@ -255,15 +255,18 @@ def permutation_cycles(successor: Mapping[int, int]) -> list[list[int]]:
 #   vertex <id> <degree>          (one line per vertex)
 #   edge <id> <v>.<slot> <v>.<slot>  (one line per edge)
 #
-# Lines whose first non-blank character is '#' are comments. Vertex lines come
-# before edge lines, each kind in any order. serialize -> parse round-trips exactly.
+# Lines end at '\n', and one '\r' that ends a line is dropped. Blanks are spaces and tabs,
+# and they separate the tokens. Lines whose first non-blank character is '#' are
+# comments; every other line holds printable ASCII, spaces and tabs alone. Vertex
+# lines come before edge lines, each kind in any order. serialize -> parse
+# round-trips exactly.
 
 
 def _int(token: str) -> int:
     """int(token) for ASCII digits after an optional sign only. `int` also
-    takes `1_0`, other scripts' digits such as U+0660, and whitespace, which
-    no token of `str.split` holds. Raises ValueError."""
-    if not token.isascii() or "_" in token:
+    takes `1_0`, and other scripts' digits such as U+0660 and whitespace,
+    which no token of `parse_stg` holds. Raises ValueError."""
+    if "_" in token:
         raise ValueError(token)
     return int(token)
 
@@ -281,10 +284,17 @@ def _parse_ref(token: str, line: int) -> HalfEdgeRef:
 def parse_stg(text: str) -> StarGraph:
     """Parse the .stg format. Raises StgParseError with a line number."""
     rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        stripped = raw.removesuffix("\r").strip(" \t")
+        if not stripped or stripped[0] == "#":
             continue
+        # so that `str.split` splits at spaces and tabs alone; only a line
+        # with a tab needs its copy
+        if not (stripped.isascii() and (stripped.isprintable()
+                                        or stripped.replace("\t", " ").isprintable())):
+            bad = next(c for c in stripped if c != "\t" and not " " <= c <= "~")
+            raise StgParseError(lineno, f"unexpected character {bad!r}: tokens are printable "
+                                        "ASCII, separated by spaces or tabs")
         rows.append((lineno, stripped.split()))
 
     if not rows:

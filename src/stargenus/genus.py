@@ -8,16 +8,20 @@ two principal submatrices of the intersection matrix, and the minimal genus
 is the minimum over all 2^n partitions. The search for it is one exact
 branch-and-bound, `_search`, that walks depth first over the vertices in
 coupling-first order (most linked pairs to those already placed first),
-with the first vertex on W by side-swap symmetry. Each side's rank is kept
-incrementally in a `SymplecticBasis`, and since a partial rank bounds the
+with the first vertex on W by side-swap symmetry. The side swap is one of
+the flip symmetries that `_symmetries` finds by four local rules on the
+intersection matrix, and `_fixed` places the pivots of their reduced
+echelon basis on W alone: every coset of the symmetries keeps its least
+code, so this keeps every genus and the least witness. Each side's rank is
+kept incrementally in a `SymplecticBasis`, and since a partial rank bounds the
 final one from below, a branch is cut as soon as its half rank sum shows
 that no leaf below can beat the best one found. The basis knows which
 chords would raise its rank, and two bounds read that: each of a node's
 two children adds 1 per side that its own vertex sends such a chord to,
 and a node one short of the cut is cut when some unplaced vertex sends
-such a chord to a side whichever side it takes. A child whose
-bound already shows it cannot win is never made, and of two the search
-descends into the one with the lower bound first, W on ties. `search_genus`
+such a chord to a side whichever side it takes (a pivot takes W alone). A
+child whose bound already shows it cannot win is never made, and of two the
+search descends into the one with the lower bound first, W on ties. `search_genus`
 lets only a lower genus beat the best leaf, for callers that need no least
 witness; `min_genus_of_pipeline` also lets an equal genus with a smaller
 side code win, and a node's own code is the least code below it, so the
@@ -52,7 +56,7 @@ from .circuit import (EulerCircuit, TransitionSystem, VertexClass,
                       classify_vertices, find_rs_circuit)
 from .core_graph import Orientation, StarGraph, require_source_sink
 from .errors import InvariantViolation, SearchBudgetExceeded
-from .gf2 import BitMatrix, SymplecticBasis, index_mask, masked_rank
+from .gf2 import BitMatrix, SymplecticBasis, _echelon, index_mask, masked_rank
 from .union_find import ParityUnionFind
 
 if TYPE_CHECKING:  # numpy is imported where it is used, by partition_genera alone
@@ -276,12 +280,81 @@ def _coupling_order(chords_w: list[list[int]], chords_b: list[list[int]],
     return order
 
 
+def _symmetries(chords_w: list[list[int]], chords_b: list[list[int]],
+                rows: tuple[int, ...]) -> list[int]:
+    """Flip symmetries of the positions, as codes over them (position k is
+    bit n - 1 - k, as in `partition_from_code`): flipping the sides of a
+    generator's positions keeps the genus of every partition. They are the
+    side swap (every position) and those of four local rules on the
+    intersection matrix `rows`, an alternating form:
+
+    - R1: a 4-valent vertex whose chord links nothing adds 0 to either side.
+    - R2: a triad whose chords a and b are linked, where of the other
+      chords linked to a only, those to b only and those to both, at most
+      one set is non-empty. Then span(a, b) is a hyperbolic plane, and
+      projecting the other chords off it changes no link between them, so
+      the triad adds exactly 2 to its side.
+    - R3: a double chord whose halves link the same other chords. Flipping
+      it swaps the halves, and that swap is an automorphism of the form.
+    - R4: two 4-valent vertices whose chords are linked and link the same
+      other chords, flipped together: on one side their chords add 2 as in
+      R2, and apart the joint flip is a swap. Two such chords i share
+      `rows[i] | 1 << i`, and any two with equal keys are such a pair, so
+      the chords are bucketed by it and each bucket's first pairs with the
+      others.
+    """
+    n = len(chords_w)
+    generators = [(1 << n) - 1]
+    buckets: dict[int, list[int]] = defaultdict(list)  # R4's chords by key
+    for k, (w, b) in enumerate(zip(chords_w, chords_b)):
+        bit = 1 << (n - 1 - k)
+        if len(w) + len(b) == 1:
+            if rows[w[0]]:
+                buckets[rows[w[0]] | 1 << w[0]].append(bit)
+            else:  # R1
+                generators.append(bit)
+            continue
+        i, j = w + b
+        # what i and j link outside the pair
+        link_i, link_j = rows[i] & ~(1 << j), rows[j] & ~(1 << i)
+        if b:  # R3
+            free = link_i == link_j
+        else:  # R2
+            free = rows[i] >> j & 1 and (not link_i or not link_j or link_i == link_j)
+        if free:
+            generators.append(bit)
+    for bits in buckets.values():
+        generators += [bits[0] | other for other in bits[1:]]
+    return generators
+
+
+def _fixed(chords_w: list[list[int]], chords_b: list[list[int]],
+           rows: tuple[int, ...]) -> list[bool]:
+    """Per position, whether the search places it on W alone: the pivots
+    of the reduced echelon basis of the span of `_symmetries`, each basis
+    vector's leading bit, which is its lowest position.
+
+    Every coset of that span has its least code with every pivot on W:
+    flipping a basis vector whose pivot is set clears it, touches no other
+    pivot and changes only higher positions. Each coset has one such code,
+    and all its codes have the same genus, so the partitions with every
+    pivot on W keep every genus and the least code of each. Position 0 is
+    always one, the side swap's.
+    """
+    n = len(chords_w)
+    fixed = [False] * n
+    for lead in _echelon(_symmetries(chords_w, chords_b, rows)):
+        fixed[n - 1 - lead] = True
+    return fixed
+
+
 def _stuck(up_w: int, up_b: int, rest: Optional[tuple]) -> bool:
     """Whether some unplaced vertex raises a side whichever side it takes.
 
     `rest` holds the unplaced vertices as a linked list of
-    (mask_w, mask_b, rest) cells ending in None: W sends mask_w's chords to
-    white and mask_b's to black, B the other way round. An option raises a
+    (mask_w, mask_b, fixed, rest) cells ending in None: W sends mask_w's
+    chords to white and mask_b's to black, B the other way round, and a
+    fixed vertex (`_fixed`) has W for its one option. An option raises a
     side when it sends one of that side's raisers
     (`SymplecticBasis.raisers`) there, and since ranks only grow, a raised
     side adds 1 to the genus of every leaf below. So when some vertex is
@@ -290,21 +363,25 @@ def _stuck(up_w: int, up_b: int, rest: Optional[tuple]) -> bool:
     if not up_w | up_b:
         return False
     while rest:
-        mw, mb, rest = rest
-        if (mw & up_w or mb & up_b) and (mb & up_w or mw & up_b):
+        mw, mb, fixed, rest = rest
+        if (mw & up_w or mb & up_b) and (fixed or mb & up_w or mw & up_b):
             return True
     return False
 
 
 def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[int, ...],
-            order: list[int], least: bool,
+            order: list[int], fixed: list[bool], least: bool,
             max_nodes: Optional[int]) -> tuple[int, int, int, int]:
     """The branch-and-bound over the vertex positions in `order`, all of
     one pipeline's or any part of them, with their chords as `_side_chords`
     lists them and `rows` the intersection matrix's rows. It walks depth
     first, one position of `order` a level, into the lower-bound child
     first (W on ties), with `order[0]` kept on W: flipping every vertex of
-    `order` swaps the two chord sets and keeps the genus. Returns (genus,
+    `order` swaps the two chord sets and keeps the genus. So are the
+    positions that `fixed` (per position) marks, which get no B child and
+    which `_stuck` reads by their W option alone; `_fixed` marks pivots of
+    flip symmetries, whose every coset keeps its least code, and with those
+    `order` must start at position 0, the side swap's pivot. Returns (genus,
     code, rank_w, rank_b) of the best leaf, over the chords of `order`'s
     positions alone; `code` is over all the pipeline's vertices in
     ascending order, as in `partition_from_code`, whatever `order` is, with
@@ -315,8 +392,9 @@ def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[in
     as the least code of the minimal genus, in any child order. That
     relies on `order[0]` being the lowest position of `order`: of a code
     and its complement on `order`, which have the same genus, the smaller
-    has that position on W. Without `least` the search ends on the first
-    leaf of the minimal genus it meets.
+    has that position on W; and on each coset of the fixed positions'
+    symmetries having its least code with them all on W. Without `least`
+    the search ends on the first leaf of the minimal genus it meets.
 
     A node's half rank sum bounds the genus of every leaf below it (a
     principal submatrix never has larger rank), and so does the bound plus
@@ -328,8 +406,9 @@ def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[in
     position sends one of that side's raisers to: the raiser raises the
     side's rank by 2, a non-raiser added first leaves it a raiser, and
     ranks never fall. A child is not made when its bound shows, with its
-    own code, that it cannot beat the best; of two made children the
-    search descends into the lower-bound one and pushes the other. Each
+    own code, that it cannot beat the best, nor a B child at a fixed
+    position; of two made children the search descends into the
+    lower-bound one and pushes the other. Each
     node the search makes takes one from the budget `max_nodes` (None for
     no budget): the root, and each child it makes, when it is made.
     Children that are not made take none. SearchBudgetExceeded is raised
@@ -338,19 +417,20 @@ def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[in
     if max_nodes is not None and max_nodes < 0:
         raise ValueError(f"max_nodes must be at least 0, got {max_nodes}")
     n = len(order)
-    # per depth: the chords, their masks and the code bit of the position
-    # placed there, which is read over all the graph's vertices
+    # per depth: the chords, their masks, whether the position placed there
+    # is fixed, and its code bit, which is read over all the graph's vertices
     to_w = [chords_w[k] for k in order]
     to_b = [chords_b[k] for k in order]
     mask_w = [index_mask(chords) for chords in to_w]
     mask_b = [index_mask(chords) for chords in to_b]
+    on_w = [fixed[k] for k in order]
     bit = [1 << (len(chords_w) - 1 - k) for k in order]
     # suffix[k]: the positions placed below depth k, as (mask_w, mask_b,
-    # rest) cells for `_stuck`, which the depths share, so building it
-    # costs O(n)
+    # fixed, rest) cells for `_stuck`, which the depths share, so building
+    # it costs O(n)
     suffix: list[Optional[tuple]] = [None] * n
     for k in range(n - 2, -1, -1):
-        suffix[k] = (mask_w[k + 1], mask_b[k + 1], suffix[k + 1])
+        suffix[k] = (mask_w[k + 1], mask_b[k + 1], on_w[k + 1], suffix[k + 1])
     exceeded = SearchBudgetExceeded(f"genus search exceeds the node budget {max_nodes}")
     left = math.inf if max_nodes is None else max_nodes  # nodes still to make
     if not left:
@@ -392,7 +472,7 @@ def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[in
             bound_w = bound + bool(mw & up_w) + bool(mb & up_b)
             bound_b = bound + bool(mb & up_w) + bool(mw & up_b)
             cut_b = best + (least and code_b < best_code)
-            keep_w, keep_b = bound_w < cut, bound_b < cut_b
+            keep_w, keep_b = bound_w < cut, bound_b < cut_b and not on_w[k]
             if left < keep_w + keep_b:
                 raise exceeded
             left -= keep_w + keep_b
@@ -415,15 +495,17 @@ def _solve(pipe: Pipeline, least: bool, max_nodes: Optional[int]) -> GenusResult
     """The search driver behind `search_genus` (`least` False) and
     `min_genus_of_pipeline` (`least` True): one `_search` in coupling-first
     order (`_coupling_order`), so the ranks, and with them the bounds, grow
-    early and good leaves come soon. The leaf is returned once `rank_pair`
+    early and good leaves come soon, with the pivots of the flip
+    symmetries (`_fixed`) on W alone. The leaf is returned once `rank_pair`
     reproduces the search's ranks there; those are twice a pair count, so
     an odd rank sum fails this check too.
     """
     vertices = list(pipe.graph.vertices)
     chords_w, chords_b = _side_chords(pipe.diagram, vertices)
+    rows = pipe.matrix.rows
     order = _coupling_order(chords_w, chords_b, pipe.linked)
-    genus, code, rw, rb = _search(chords_w, chords_b, pipe.matrix.rows, order, least,
-                                  max_nodes)
+    genus, code, rw, rb = _search(chords_w, chords_b, rows, order,
+                                  _fixed(chords_w, chords_b, rows), least, max_nodes)
     leaf = _partition(vertices, chords_w, chords_b, code)
     checked = rank_pair(pipe.matrix, leaf)
     if checked != (rw, rb):

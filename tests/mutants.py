@@ -165,6 +165,15 @@ MUTANTS = (
         ("tests/test_oracle.py::test_traced_genera_links_only_open_columns",),
     ),
     Mutant(
+        # slots ranked latest vertex first, so the columns trimmed off as
+        # vertices are done are the ones still open
+        "latest-first-reversed",
+        "oracle.py",
+        "key=vertex_of.__getitem__",
+        "key=lambda s: -vertex_of[s]",
+        ("tests/test_oracle.py::test_traced_genera_links_only_open_columns",),
+    ),
+    Mutant(
         # the inverse of the right axis permutation, which differs from it
         # whenever the coupling order is not its own inverse
         "transpose-by-order",
@@ -190,6 +199,55 @@ MUTANTS = (
         ") and (",
         ") or (",
         ("tests/test_genus.py::test_stuck_is_whether_every_placement_raises_a_side",),
+    ),
+    Mutant(
+        # every vertex counts as stuck when its W option alone raises a side,
+        # as a fixed one does
+        "stuck-reads-every-vertex-as-fixed",
+        "genus.py",
+        "(fixed or mb & up_w or mw & up_b)",
+        "(True or mb & up_w or mw & up_b)",
+        ("tests/test_genus.py::test_stuck_is_whether_every_placement_raises_a_side",),
+    ),
+    Mutant(
+        # a linked triad is taken as free whatever its chords link, so some
+        # flips that change a genus are taken as symmetries
+        "r2-without-one-pattern",
+        "genus.py",
+        "free = rows[i] >> j & 1 and (not link_i or not link_j or link_i == link_j)",
+        "free = rows[i] >> j & 1",
+        ("tests/test_genus.py::test_flip_symmetries_keep_every_genus",
+         "tests/test_genus.py::test_genus_is_the_same_in_any_search_order"),
+    ),
+    Mutant(
+        # a double chord is taken as free when its halves link as many other
+        # chords, not the same ones
+        "r3-compares-link-counts",
+        "genus.py",
+        "free = link_i == link_j",
+        'free = bin(link_i).count("1") == bin(link_j).count("1")',
+        ("tests/test_genus.py::test_flip_symmetries_keep_every_genus",
+         "tests/test_genus.py::test_genus_is_the_same_in_any_search_order"),
+    ),
+    Mutant(
+        # each basis vector fixes its highest position, not its pivot: some
+        # cosets then have no code left, or only codes that are not least
+        "pivot-least-significant-bit",
+        "genus.py",
+        "    for lead in _echelon(_symmetries(chords_w, chords_b, rows)):\n"
+        "        fixed[n - 1 - lead] = True\n",
+        "    for row in _echelon(_symmetries(chords_w, chords_b, rows)).values():\n"
+        "        fixed[n - (row & -row).bit_length()] = True\n",
+        ("tests/test_genus.py::test_pivots_on_w_are_the_least_code_of_each_coset",
+         "tests/test_genus.py::test_genus_is_the_same_in_any_search_order"),
+    ),
+    Mutant(
+        # a fixed position gets no W child instead of no B child
+        "pivot-fixed-to-b",
+        "genus.py",
+        "keep_w, keep_b = bound_w < cut, bound_b < cut_b and not on_w[k]",
+        "keep_w, keep_b = bound_w < cut and not on_w[k], bound_b < cut_b",
+        _LEAST_TESTS + ("tests/test_genus.py::test_genus_is_the_same_in_any_search_order",),
     ),
     Mutant(
         "residual-no-projection",

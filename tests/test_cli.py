@@ -399,7 +399,7 @@ def test_genus_refuses_past_its_node_budget(capsys, stg, connected_sums, seeded_
 
     # the default budget's headroom: the sum of the genus-3 covers of seeds
     # 1001-1003 (30 vertices) has genus 3 + 3 + 3, and its least pass takes
-    # 443,953 of the 1,000,000 nodes
+    # 408,871 of the 1,000,000 nodes
     path = stg("s3", connected_sums(3, 2, 3))
     assert run_within(10, capsys, "genus", path) == (0, (
         "min genus: 9\n"
@@ -496,7 +496,7 @@ def test_check_runs_one_search_and_never_the_witness_pass(capsys, stg, seeded_co
     calls = []
 
     def recorded(*args, original=genus._search):
-        calls.append(args[4])  # least
+        calls.append(args[5])  # least
         return original(*args)
     monkeypatch.setattr(genus, "_search", recorded)
 

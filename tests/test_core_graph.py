@@ -233,6 +233,9 @@ def test_parse_accepts_comments_and_blank_lines():
             "  # indented comment\n"
             "vertex 0 4\n\nedge 0 0.0 0.1\nedge 1 0.2 0.3\n")
     assert parse_stg(text) == g8()
+    # CRLF line ends, tabs between tokens, and any text in a comment
+    text = "# g8 \u2014 one vertex\r\nstargraph\t1 2\r\nvertex 0\t4\r\nedge 0 0.0 0.1\nedge 1 0.2 0.3"
+    assert parse_stg(text) == g8()
 
 
 @pytest.mark.parametrize("text,line,fragment", [
@@ -248,13 +251,22 @@ def test_parse_accepts_comments_and_blank_lines():
     ("stargraph 1 1\nvertex 0 4\nedge 0 0.0 0.x\n", 3, "0.x"),
     ("stargraph -1 2\n", 1, "non-negative"),
     ("stargraph 1 1\nvertex 0 4\nedge e0 0.0 0.1\n", 3, "edge id must be an integer"),
-    # int() takes these, but .stg integers are ASCII decimal digits only
+    # int() takes these, but .stg integers are ASCII decimal digits only,
+    # and a line that is no comment holds no other character than printable
+    # ASCII, spaces and tabs
     ("stargraph 1_0 1\n", 1, "header counts must be integers"),
-    ("stargraph 1 1\nvertex \u0660 4\nedge 0 0.0 0.1\n", 2, "integers"),
-    ("stargraph 1 1\nvertex 0 \uff14\nedge 0 0.0 0.1\n", 2, "integers"),
+    ("stargraph 1 1\nvertex \u0660 4\nedge 0 0.0 0.1\n", 2, "'\u0660'"),
+    ("stargraph 1 1\nvertex 0 \uff14\nedge 0 0.0 0.1\n", 2, "'\uff14'"),
     ("stargraph 1 1\nvertex 0 4\nedge 1_0 0.2 0.3\n", 3, "edge id must be an integer"),
-    ("stargraph 1 1\nvertex 0 4\nedge 0 0.0 \u0660.1\n", 3, "\u0660.1"),
+    ("stargraph 1 1\nvertex 0 4\nedge 0 0.0 \u0660.1\n", 3, "'\u0660'"),
     ("stargraph 1 1\nvertex 0 4\nedge 0 0.0 0.0_1\n", 3, "0.0_1"),
+    # str.split splits at these, and str.splitlines ends lines at the last
+    # three, but tokens are separated by spaces and tabs alone, and lines
+    # end at '\n' alone
+    ("stargraph 1 2\nvertex 0 4\nedge 0 0.0\u30000.1\nedge 1 0.2 0.3\n", 3, "'\\u3000'"),
+    ("stargraph 1 2\nvertex 0 4\nedge 0 0.0 0.1\u2028edge 1 0.2 0.3\n", 3, "'\\u2028'"),
+    ("stargraph 1 2\nvertex 0 4\nedge 0 0.0 0.1\x85edge 1 0.2 0.3\n", 3, "'\\x85'"),
+    ("stargraph 1 2\nvertex 0 4\nedge 0 0.0 0.1\x1cedge 1 0.2 0.3\n", 3, "'\\x1c'"),
 ])
 def test_parse_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(StgParseError) as err:

@@ -7,14 +7,15 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from stargenus.errors import (InvalidGraphError, InvariantViolation, NotSourceSinkError,
                               SearchBudgetExceeded)
-from stargenus.core_graph import double_cover
+from stargenus.core_graph import double_cover, serialize_stg
 from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx, random_star_graph
-from stargenus.genus import (_coupling_order, _search, _side_chords, _stuck,
-                             build_pipeline, enumerate_permissible_partitions,
+from stargenus.genus import (_coupling_order, _fixed, _search, _side_chords, _stuck,
+                             _symmetries, build_pipeline, enumerate_permissible_partitions,
                              genus_of_partition, is_planar, min_genus, min_genus_of_pipeline,
                              partition_from_code, partition_genera, planarity_of_pipeline,
                              rank_pair, search_genus)
@@ -156,27 +157,36 @@ def test_coupling_order_matches_a_quadratic_reference(random_corpus, cover_pipes
 
 def test_stuck_is_whether_every_placement_raises_a_side():
     rng = random.Random(2012)
+    stuck_by_fixed = 0
     for _ in range(2000):
         # vertices as the search sees them: a 4-vertex's chord or a triad's
-        # two go white on W; a double chord's halves go opposite ways
-        mask_w, mask_b, chord = [], [], 0
+        # two go white on W; a double chord's halves go opposite ways; a
+        # fixed vertex is placed on W alone
+        mask_w, mask_b, fixed, chord = [], [], [], 0
         for _ in range(rng.randint(1, 6)):
             kind = rng.choice(("chord", "triad", "dchord"))
             mask_w.append((3 if kind == "triad" else 1) << chord)
             mask_b.append(2 << chord if kind == "dchord" else 0)
+            fixed.append(rng.random() < 0.3)
             chord += 1 if kind == "chord" else 2
         up_w, up_b = (sum(1 << i for i in range(chord) if rng.random() < density)
                       for density in (rng.random() / 2, rng.random() / 2))
         start = rng.randrange(len(mask_w))  # vertices before it are placed
-        rest = list(zip(mask_w[start:], mask_b[start:]))
+        rest = list(zip(mask_w[start:], mask_b[start:], fixed[start:]))
         linked = None
-        for mw, mb in reversed(rest):
-            linked = (mw, mb, linked)
+        for mw, mb, on_w in reversed(rest):
+            linked = (mw, mb, on_w, linked)
         # each placement sends (to white, to black): (mw, mb) on W, (mb, mw) on B
-        extra = min(any(w & up_w for w, _ in placement) + any(b & up_b for _, b in placement)
-                    for placement in itertools.product(*[[(mw, mb), (mb, mw)]
-                                                         for mw, mb in rest]))
-        assert _stuck(up_w, up_b, linked) == (extra > 0)
+
+        def extra(options):
+            return min(any(w & up_w for w, _ in placement) + any(b & up_b for _, b in placement)
+                       for placement in itertools.product(*options))
+        free = extra([(mw, mb), (mb, mw)] for mw, mb, _ in rest)
+        placed = extra([(mw, mb)] if on_w else [(mw, mb), (mb, mw)] for mw, mb, on_w in rest)
+        assert _stuck(up_w, up_b, linked) == (placed > 0)
+        stuck_by_fixed += placed > free
+    # some vertices are stuck only because they have no B option
+    assert stuck_by_fixed > 50
 
 
 def test_child_bound_is_at_most_the_genus_its_vertex_adds():
@@ -219,17 +229,20 @@ def test_child_bound_is_at_most_the_genus_its_vertex_adds():
     assert below > 0
 
 
-def _pass(pipe, order, least):
-    """`_search` over the positions in `order`, with no node budget."""
+def _pass(pipe, order, least, fixed=False):
+    """`_search` over the positions in `order`, with no node budget, and
+    with the pivots of the flip symmetries on W when `fixed`."""
     rows, chords_w, chords_b = _search_inputs(pipe)
-    return _search(chords_w, chords_b, rows, list(order), least, None)
+    on_w = _fixed(chords_w, chords_b, rows) if fixed else [False] * len(chords_w)
+    return _search(chords_w, chords_b, rows, list(order), on_w, least, None)
 
 
 def test_genus_is_the_same_in_any_search_order(small_source_sink, random_corpus, seeded_covers,
                                                connected_sums):
     # the search may take the vertices in any order and finds the same
     # genus; with `least`, in any order that starts at position 0, it also
-    # ends on the same least code and ranks
+    # ends on the same least code and ranks, with the pivots of the flip
+    # symmetries placed on W alone or not
     rng = random.Random(1912)
     sums = [connected_sums(*blocks) for blocks in ((1, 1, 2), (1, 1, 3), (2, 1, 2), (2, 1, 3))]
     for g in small_source_sink + random_corpus + seeded_covers((4, 5, 6, 7)) + sums:
@@ -240,11 +253,55 @@ def test_genus_is_the_same_in_any_search_order(small_source_sink, random_corpus,
         orders = [_coupling_order(chords_w, chords_b, pipe.linked), list(range(n))]
         orders += [[0] + rng.sample(range(1, n), n - 1) for _ in range(5)]
         anywhere = [rng.sample(range(n), n) for _ in range(5)]
-        assert {_pass(pipe, order, False)[0] for order in orders + anywhere} == \
-            {least.min_genus}
+        assert {_pass(pipe, order, False)[0] for order in orders + anywhere} | \
+            {_pass(pipe, order, False, fixed=True)[0] for order in orders} == {least.min_genus}
         for order in orders:
-            assert _pass(pipe, order, True) == \
-                (least.min_genus, least.witness.code, *least.ranks), order
+            for fixed in (False, True):
+                assert _pass(pipe, order, True, fixed) == \
+                    (least.min_genus, least.witness.code, *least.ranks), (order, fixed)
+
+
+def test_flip_symmetries_keep_every_genus(small_source_sink, random_corpus, seeded_covers):
+    # flipping the vertices of any generator keeps the genus of every
+    # partition, and each of the four local rules gives some generators
+    rules = dict.fromkeys(("R1", "R2", "R3", "R4"), 0)
+    for g in small_source_sink + random_corpus + seeded_covers(range(1, 8)):
+        pipe = build_pipeline(g)
+        rows, chords_w, chords_b = _search_inputs(pipe)
+        n = len(chords_w)
+        genera = partition_genera(pipe)
+        codes = np.arange(len(genera))
+        symmetries = _symmetries(chords_w, chords_b, rows)
+        assert symmetries[0] == (1 << n) - 1  # the side swap
+        for flip in symmetries:
+            assert (genera[codes ^ flip] == genera).all(), (serialize_stg(g), flip)
+        for flip in symmetries[1:]:
+            k = n - flip.bit_length()  # the generator's lowest position
+            if flip & (flip - 1):
+                rules["R4"] += 1
+            else:
+                rules["R3" if chords_b[k] else "R2" if len(chords_w[k]) == 2 else "R1"] += 1
+    assert min(rules.values()) >= 10, rules
+
+
+def test_pivots_on_w_are_the_least_code_of_each_coset(small_source_sink, random_corpus,
+                                                       seeded_covers):
+    # the codes with every fixed position on W are the least codes of the
+    # cosets of the span of the flip symmetries, one in each coset
+    for g in small_source_sink + random_corpus + seeded_covers(range(1, 8)):
+        rows, chords_w, chords_b = _search_inputs(build_pipeline(g))
+        n = len(chords_w)
+        fixed = _fixed(chords_w, chords_b, rows)
+        assert fixed[0]
+        span = np.zeros(1, dtype=np.int64)
+        for flip in _symmetries(chords_w, chords_b, rows):
+            if not (span == flip).any():
+                span = np.concatenate([span, span ^ flip])
+        assert len(span) == 1 << sum(fixed)
+        pivots = sum(1 << (n - 1 - k) for k in range(n) if fixed[k])
+        codes = np.arange(1 << n, dtype=np.int64)
+        least = codes[codes & pivots == 0]
+        assert ((least[:, None] ^ span[None, :]).min(axis=1) == least).all()
 
 
 def test_least_pass_matches_the_ascending_pass_and_the_flat_scan(small_source_sink,
@@ -291,7 +348,7 @@ def test_search_runs_on_each_component_alone(connected_sums):
         genus = code = rank_w = rank_b = 0
         for part in components.values():
             assert part[0] == min(part)
-            g, c, w, b = _search(chords_w, chords_b, rows, part, True, None)
+            g, c, w, b = _search(chords_w, chords_b, rows, part, [False] * n, True, None)
             genus, code, rank_w, rank_b = genus + g, code | c, rank_w + w, rank_b + b
         least = min_genus_of_pipeline(pipe)
         assert (genus, code, (rank_w, rank_b)) == \

@@ -325,8 +325,11 @@ def _relabel(g: StarGraph, new_id: dict[int, int]) -> StarGraph:
 
 
 def test_relabelling_vertices_keeps_min_genus(random_corpus, seeded_covers):
+    # a relabelling moves the coupling order and which vertices are the
+    # pivots that the search places on W alone, so this runs the search
+    # under many orders and pivot choices
     rng = random.Random(20121220)
-    for g in rng.sample(random_corpus, 30) + seeded_covers((4, 5, 6, 7)):
+    for g in random_corpus + seeded_covers(range(1, 8)):
         ids = sorted(g.vertices)
         shuffled = ids[:]
         rng.shuffle(shuffled)
