@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .chords import Chord, Triad
-from .core_graph import (StarGraph, double_cover, parse_stg, require_source_sink,
+from .core_graph import (StarGraph, _int, double_cover, parse_stg, require_source_sink,
                          serialize_stg, validate)
 from .errors import (DEFAULT_CAP, DEFAULT_MAX_NODES, InvalidGraphError,
                      NotSourceSinkError, OracleCapExceeded, SearchBudgetExceeded,
@@ -66,7 +66,7 @@ def _resolve_cap(args) -> int | None:
     if env is None:
         return DEFAULT_CAP
     try:
-        cap = int(env)
+        cap = _int(env)
     except ValueError:
         raise ValueError(f"STARGENUS_ORACLE_CAP must be an integer, got {env!r}") from None
     if cap < 0:
@@ -78,7 +78,7 @@ def _int_at_least(low: int):
     """An argparse type accepting integers of at least `low`."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = _int(text)
         except ValueError:
             value = low - 1
         if value < low:

@@ -263,12 +263,12 @@ def permutation_cycles(successor: Mapping[int, int]) -> list[list[int]]:
 
 
 def _int(token: str) -> int:
-    """int(token) for ASCII digits after an optional sign only. `int` also
-    takes `1_0`, and other scripts' digits such as U+0660 and whitespace,
-    which no token of `parse_stg` holds. Raises ValueError."""
-    if "_" in token:
-        raise ValueError(token)
-    return int(token)
+    """int(token) for an optional sign and ASCII digits alone, the form of a
+    number in .stg files, flags and `STARGENUS_ORACLE_CAP`: `int` also takes
+    `1_0`, other scripts' digits such as U+0660 and whitespace. Raises ValueError."""
+    if token.isascii() and (token.isdigit() or token[:1] in "+-" and token[1:].isdigit()):
+        return int(token)
+    raise ValueError(token)
 
 
 def _parse_ref(token: str, line: int) -> HalfEdgeRef:

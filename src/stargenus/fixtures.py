@@ -92,8 +92,8 @@ def random_chord_diagram(seed: int, n_chords: int) -> ChordDiagram:
 
 
 _NAMED = {"g8": g8, "gx": gx, "ghopf": ghopf, "gt3f": gt3f, "gt3c": gt3c}
-_CHAIN_RE = re.compile(r"chain\(\s*(\d+)\s*\)")
-_RANDOM_RE = re.compile(r"random\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
+_CHAIN_RE = re.compile(r"chain\(\s*(\d+)\s*\)", re.ASCII)
+_RANDOM_RE = re.compile(r"random\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)", re.ASCII)
 
 
 def by_name(name: str) -> StarGraph:

@@ -8,9 +8,9 @@ two principal submatrices of the intersection matrix, and the minimal genus
 is the minimum over all 2^n partitions. The search for it is one exact
 branch-and-bound, `_search`, that walks depth first over the vertices in
 coupling-first order (most linked pairs to those already placed first),
-with the first vertex on W by side-swap symmetry. The side swap is one of
-the flip symmetries that `_symmetries` finds by four local rules on the
-intersection matrix, and `_fixed` places the pivots of their reduced
+one component of the vertices after another. Each component's side swap
+and three local rules on the intersection matrix give the flip symmetries
+that `_symmetries` finds, and `_fixed` places the pivots of their reduced
 echelon basis on W alone: every coset of the symmetries keeps its least
 code, so this keeps every genus and the least witness. Each side's rank is
 kept incrementally in a `SymplecticBasis`, and since a partial rank bounds the
@@ -218,7 +218,7 @@ def partition_genera(pipe: Pipeline) -> np.ndarray:
     # per code: its state's id and its white rank so far
     lane = np.zeros(1, dtype=np.int32)
     rank = np.zeros(1, dtype=np.int16)
-    order = _coupling_order(chords_w, chords_b, pipe.linked)
+    order = [k for part in _coupling_order(chords_w, chords_b, pipe.linked) for k in part]
     for k in order:
         live &= ~index_mask(chords_w[k] + chords_b[k])
         index: dict[tuple, int] = {}
@@ -246,17 +246,16 @@ def partition_genera(pipe: Pipeline) -> np.ndarray:
 
 
 def _coupling_order(chords_w: list[list[int]], chords_b: list[list[int]],
-                    linked) -> list[int]:
-    """Vertex positions in coupling-first order: position 0, then again and
-    again the unplaced vertex with the most linked pairs to the placed ones,
-    the lower position on ties. Adjacency lists and a heap keep this
-    O((n + pairs) log n): a vertex's coupling only grows, so its newest
+                    linked) -> list[list[int]]:
+    """Vertex positions in coupling-first order, cut into components: position
+    0, then again and again the unplaced vertex with the most linked pairs to
+    the placed ones, the lower position on ties. One placed with none starts a
+    component (of the vertices that linked chords join), as its lowest
+    position, since all the unplaced tie at 0. Adjacency lists and a heap keep
+    this O((n + pairs) log n): a vertex's coupling only grows, so its newest
     entry comes out first and its older ones after it is placed."""
     n = len(chords_w)
-    owner = [0] * sum(len(w) + len(b) for w, b in zip(chords_w, chords_b))
-    for k in range(n):
-        for i in chords_w[k] + chords_b[k]:
-            owner[i] = k
+    owner = {i: k for k in range(n) for i in chords_w[k] + chords_b[k]}
     neighbours: list[list[int]] = [[] for _ in range(n)]
     for i, j in linked:
         a, b = owner[i], owner[j]
@@ -266,29 +265,33 @@ def _coupling_order(chords_w: list[list[int]], chords_b: list[list[int]],
     coupling = [0] * n
     placed = [False] * n
     heap = [(0, k) for k in range(n)]  # (-coupling, position); sorted, so a heap
-    order = []
+    components: list[list[int]] = []
     while heap:
-        _, k = heapq.heappop(heap)
+        c, k = heapq.heappop(heap)
         if placed[k]:
             continue
         placed[k] = True
-        order.append(k)
+        if not c:
+            components.append([])
+        components[-1].append(k)
         for b in neighbours[k]:
             if not placed[b]:
                 coupling[b] += 1
                 heapq.heappush(heap, (-coupling[b], b))
-    return order
+    return components
 
 
 def _symmetries(chords_w: list[list[int]], chords_b: list[list[int]],
-                rows: tuple[int, ...]) -> list[int]:
+                rows: tuple[int, ...], components: list[list[int]]) -> list[int]:
     """Flip symmetries of the positions, as codes over them (position k is
     bit n - 1 - k, as in `partition_from_code`): flipping the sides of a
     generator's positions keeps the genus of every partition. They are the
-    side swap (every position) and those of four local rules on the
+    swaps of the `components`, then those of three local rules on the
     intersection matrix `rows`, an alternating form:
 
-    - R1: a 4-valent vertex whose chord links nothing adds 0 to either side.
+    - Component swaps: no linked pair joins two components, so the matrix
+      is block-diagonal over them, and a swap trades the two sides' ranks
+      on its own block alone. A 4-vertex whose chord links nothing is one.
     - R2: a triad whose chords a and b are linked, where of the other
       chords linked to a only, those to b only and those to both, at most
       one set is non-empty. Then span(a, b) is a hyperbolic plane, and
@@ -304,15 +307,12 @@ def _symmetries(chords_w: list[list[int]], chords_b: list[list[int]],
       others.
     """
     n = len(chords_w)
-    generators = [(1 << n) - 1]
+    generators = [sum(1 << (n - 1 - k) for k in part) for part in components]
     buckets: dict[int, list[int]] = defaultdict(list)  # R4's chords by key
     for k, (w, b) in enumerate(zip(chords_w, chords_b)):
         bit = 1 << (n - 1 - k)
         if len(w) + len(b) == 1:
-            if rows[w[0]]:
-                buckets[rows[w[0]] | 1 << w[0]].append(bit)
-            else:  # R1
-                generators.append(bit)
+            buckets[rows[w[0]] | 1 << w[0]].append(bit)
             continue
         i, j = w + b
         # what i and j link outside the pair
@@ -329,7 +329,7 @@ def _symmetries(chords_w: list[list[int]], chords_b: list[list[int]],
 
 
 def _fixed(chords_w: list[list[int]], chords_b: list[list[int]],
-           rows: tuple[int, ...]) -> list[bool]:
+           rows: tuple[int, ...], components: list[list[int]]) -> list[bool]:
     """Per position, whether the search places it on W alone: the pivots
     of the reduced echelon basis of the span of `_symmetries`, each basis
     vector's leading bit, which is its lowest position.
@@ -338,14 +338,12 @@ def _fixed(chords_w: list[list[int]], chords_b: list[list[int]],
     flipping a basis vector whose pivot is set clears it, touches no other
     pivot and changes only higher positions. Each coset has one such code,
     and all its codes have the same genus, so the partitions with every
-    pivot on W keep every genus and the least code of each. Position 0 is
-    always one, the side swap's.
+    pivot on W keep every genus and the least code of each. Each
+    component's lowest position is one, its swap's, and so position 0 is.
     """
     n = len(chords_w)
-    fixed = [False] * n
-    for lead in _echelon(_symmetries(chords_w, chords_b, rows)):
-        fixed[n - 1 - lead] = True
-    return fixed
+    leads = _echelon(_symmetries(chords_w, chords_b, rows, components))
+    return [n - 1 - k in leads for k in range(n)]
 
 
 def _stuck(up_w: int, up_b: int, rest: Optional[tuple]) -> bool:
@@ -381,9 +379,9 @@ def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[in
     positions that `fixed` (per position) marks, which get no B child and
     which `_stuck` reads by their W option alone; `_fixed` marks pivots of
     flip symmetries, whose every coset keeps its least code, and with those
-    `order` must start at position 0, the side swap's pivot. Returns (genus,
-    code, rank_w, rank_b) of the best leaf, over the chords of `order`'s
-    positions alone; `code` is over all the pipeline's vertices in
+    `order` must start at position 0, the first component's pivot. Returns
+    (genus, code, rank_w, rank_b) of the best leaf, over the chords of
+    `order`'s positions alone; `code` is over all the pipeline's vertices in
     ascending order, as in `partition_from_code`, whatever `order` is, with
     the positions outside `order` on W.
 
@@ -494,18 +492,19 @@ def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[in
 def _solve(pipe: Pipeline, least: bool, max_nodes: Optional[int]) -> GenusResult:
     """The search driver behind `search_genus` (`least` False) and
     `min_genus_of_pipeline` (`least` True): one `_search` in coupling-first
-    order (`_coupling_order`), so the ranks, and with them the bounds, grow
-    early and good leaves come soon, with the pivots of the flip
-    symmetries (`_fixed`) on W alone. The leaf is returned once `rank_pair`
-    reproduces the search's ranks there; those are twice a pair count, so
-    an odd rank sum fails this check too.
+    order (`_coupling_order`'s components one after another), so the
+    ranks, and with them the bounds, grow early and good leaves come soon,
+    with the pivots of the flip symmetries (`_fixed`) on W alone. The leaf
+    is returned once `rank_pair` reproduces the search's ranks there; those
+    are twice a pair count, so an odd rank sum fails this check too.
     """
     vertices = list(pipe.graph.vertices)
     chords_w, chords_b = _side_chords(pipe.diagram, vertices)
     rows = pipe.matrix.rows
-    order = _coupling_order(chords_w, chords_b, pipe.linked)
+    components = _coupling_order(chords_w, chords_b, pipe.linked)
+    order = [k for part in components for k in part]
     genus, code, rw, rb = _search(chords_w, chords_b, rows, order,
-                                  _fixed(chords_w, chords_b, rows), least, max_nodes)
+                                  _fixed(chords_w, chords_b, rows, components), least, max_nodes)
     leaf = _partition(vertices, chords_w, chords_b, code)
     checked = rank_pair(pipe.matrix, leaf)
     if checked != (rw, rb):

@@ -6,8 +6,9 @@ vertices (every perfect matching of the slot stubs for degree profiles 4, 6,
 `small_source_sink` its source-sink subset. `random_corpus` adds 200 seeded
 source-sink graphs with up to 10 mixed-degree vertices. `seeded_covers`
 builds larger source-sink graphs: parity double covers, and
-`connected_sums` chains of small ones into one graph, by the edge swap
-that `edge_swap_sum` applies to any list of graphs.
+`connected_sums` chains of small ones (the covers `sum_blocks` draws) into
+one graph, by the edge swap that `edge_swap_sum` applies to any list of
+graphs.
 """
 
 from __future__ import annotations
@@ -80,17 +81,22 @@ def build_seeded_covers(sizes, seed: int = 0) -> list[StarGraph]:
     return out
 
 
-def build_connected_sum(n4: int, n6: int, blocks: int, seed: int = 1000) -> StarGraph:
-    """The connected sum (see `join_by_edge_swap`) of `blocks` double covers
-    of bases with n4 4-vertices and n6 6-vertices, drawn with the next seeds
-    whose cover is connected."""
+def build_sum_blocks(n4: int, n6: int, blocks: int, seed: int = 1000) -> list[StarGraph]:
+    """`blocks` double covers of bases with n4 4-vertices and n6
+    6-vertices, drawn with the next seeds whose cover is connected."""
     covers = []
     while len(covers) < blocks:
         seed += 1
         g = double_cover(random_star_graph(seed, n4, n6))
         if not validate(g):
             covers.append(g)
-    return join_by_edge_swap(covers)
+    return covers
+
+
+def build_connected_sum(n4: int, n6: int, blocks: int, seed: int = 1000) -> StarGraph:
+    """The connected sum (see `join_by_edge_swap`) of the covers that
+    `build_sum_blocks` draws with the same arguments."""
+    return join_by_edge_swap(build_sum_blocks(n4, n6, blocks, seed))
 
 
 def join_by_edge_swap(blocks: list[StarGraph]) -> StarGraph:
@@ -116,6 +122,11 @@ def join_by_edge_swap(blocks: list[StarGraph]) -> StarGraph:
 @pytest.fixture(scope="session")
 def connected_sums():
     return build_connected_sum
+
+
+@pytest.fixture(scope="session")
+def sum_blocks():
+    return build_sum_blocks
 
 
 @pytest.fixture(scope="session")

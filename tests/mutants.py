@@ -234,12 +234,32 @@ MUTANTS = (
         # cosets then have no code left, or only codes that are not least
         "pivot-least-significant-bit",
         "genus.py",
-        "    for lead in _echelon(_symmetries(chords_w, chords_b, rows)):\n"
-        "        fixed[n - 1 - lead] = True\n",
-        "    for row in _echelon(_symmetries(chords_w, chords_b, rows)).values():\n"
-        "        fixed[n - (row & -row).bit_length()] = True\n",
+        "leads = _echelon(_symmetries(chords_w, chords_b, rows, components))",
+        "leads = {(row & -row).bit_length() - 1\n"
+        "             for row in _echelon(_symmetries(chords_w, chords_b, rows, components)).values()}",
         ("tests/test_genus.py::test_pivots_on_w_are_the_least_code_of_each_coset",
          "tests/test_genus.py::test_genus_is_the_same_in_any_search_order"),
+    ),
+    Mutant(
+        # every vertex starts a component of its own, so each single flip is
+        # taken as a symmetry and every position is fixed on W
+        "component-at-every-vertex",
+        "genus.py",
+        "        if not c:\n",
+        "        if True:\n",
+        ("tests/test_genus.py::test_flip_symmetries_keep_every_genus",
+         "tests/test_genus.py::test_coupling_order_matches_a_quadratic_reference"),
+    ),
+    Mutant(
+        # no component starts after the first: the one swap is the side swap,
+        # and a connected sum gets one pivot in all
+        "one-component",
+        "genus.py",
+        "        if not c:\n",
+        "        if not components:\n",
+        ("tests/test_cli.py::test_genus_on_a_sum_of_four_answers_under_the_default_budget",
+         "tests/test_genus.py::test_coupling_order_matches_a_quadratic_reference",
+         "tests/test_genus.py::test_search_runs_on_each_component_alone"),
     ),
     Mutant(
         # a fixed position gets no W child instead of no B child

@@ -18,6 +18,7 @@ from stargenus.errors import DEFAULT_MAX_NODES
 from stargenus.fixtures import chain, ghopf, gt3c, random_star_graph
 from stargenus import genus
 from stargenus.genus import build_pipeline, min_genus, partition_from_code, search_genus
+from stargenus.oracle import oracle_min_genus
 
 
 @pytest.fixture()
@@ -64,9 +65,11 @@ def test_gen_writes_canonical_text(capsys, tmp_path):
 
 
 def test_gen_unknown_fixture(capsys):
-    code, _, err = run(capsys, "gen", "nope")
-    assert code == 2
-    assert "unknown fixture" in err
+    # numbers in a fixture expression are ASCII decimal, as in .stg files
+    for name in ("nope", "chain(\u0661\u0662)"):
+        code, _, err = run(capsys, "gen", name)
+        assert code == 2
+        assert "unknown fixture" in err
 
 
 def test_validate_ok(capsys, stg):
@@ -322,17 +325,19 @@ def test_oracle_cap_env_must_be_an_integer(capsys, stg, monkeypatch):
 @pytest.mark.parametrize("cmd", ["oracle", "check"])
 def test_cap_below_zero_rejected(capsys, stg, monkeypatch, cmd):
     path = stg("h", ghopf())
-    for value in ("-1", "x"):
+    # flags take ASCII decimal, as .stg files do
+    for value in ("-1", "x", "1_0", "\u0661\u0660", " 7"):
         with pytest.raises(SystemExit) as exc:
             main([cmd, path, "--cap", value])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument --cap: must be an integer of at least 0, got '{value}'" in err
 
-    monkeypatch.setenv("STARGENUS_ORACLE_CAP", "-1")
-    code, out, err = run(capsys, cmd, path)
-    assert (code, out) == (2, "")
-    assert err == "STARGENUS_ORACLE_CAP must be at least 0, got '-1'\n"
+    for value, message in (("-1", "must be at least 0"), ("2_0", "must be an integer")):
+        monkeypatch.setenv("STARGENUS_ORACLE_CAP", value)
+        code, out, err = run(capsys, cmd, path)
+        assert (code, out) == (2, "")
+        assert err == f"STARGENUS_ORACLE_CAP {message}, got '{value}'\n"
 
     # zero is a valid cap that refuses every graph
     code, _, err = run(capsys, cmd, path, "--cap", "0")
@@ -399,7 +404,7 @@ def test_genus_refuses_past_its_node_budget(capsys, stg, connected_sums, seeded_
 
     # the default budget's headroom: the sum of the genus-3 covers of seeds
     # 1001-1003 (30 vertices) has genus 3 + 3 + 3, and its least pass takes
-    # 408,871 of the 1,000,000 nodes
+    # 155,140 of the 1,000,000 nodes
     path = stg("s3", connected_sums(3, 2, 3))
     assert run_within(10, capsys, "genus", path) == (0, (
         "min genus: 9\n"
@@ -409,9 +414,30 @@ def test_genus_refuses_past_its_node_budget(capsys, stg, connected_sums, seeded_
         "")
 
 
+def test_genus_on_a_sum_of_four_answers_under_the_default_budget(capsys, stg, connected_sums,
+                                                                  sum_blocks):
+    # 40 vertices in four components, one per block: each component's side
+    # swap places its lowest vertex on W, and the least pass takes 566,676
+    # of the 1,000,000 nodes, where a search that fixes position 0 alone
+    # needs more than 2,000,000
+    path = stg("s4", connected_sums(3, 2, 4))
+    code, out, err = run_within(10, capsys, "genus", path)
+    assert (code, err) == (0, "")
+    # an observation, not a theorem (it held on sums of 2-10): the genus of
+    # the sum is the sum of the oracle's genera of its blocks
+    genera = [oracle_min_genus(block) for block in sum_blocks(3, 2, 4)]
+    assert genera == [3, 3, 3, 1]
+    assert out == (
+        f"min genus: {sum(genera)}\n"
+        "ranks: 16 4\n"
+        "witness: 0=W 1=W 2=W 3=W 4=W 5=W 6=B 7=W 8=W 9=B 10=W 11=W 12=B 13=B 14=B"
+        " 15=B 16=W 17=W 18=W 19=W 20=W 21=W 22=W 23=B 24=W 25=W 26=B 27=B 28=W 29=W"
+        " 30=W 31=W 32=W 33=W 34=B 35=B 36=B 37=B 38=B 39=B\n")
+
+
 def test_genus_on_a_1998_vertex_planar_sum_is_fast(capsys, stg, edge_swap_sum):
-    # the search takes 2n - 1 nodes on planar sums, so the default budget
-    # admits this one, which a search of about n^2 / 3 nodes overruns
+    # the search takes 3,329 nodes on this planar sum, fewer than 2n, so the
+    # default budget admits it, which a search of about n^2 / 3 nodes overruns
     seeds = (2, 5, 11, 14, 16, 17)
     covers = [double_cover(random_star_graph(seeds[i % 6], 1, 2)) for i in range(333)]
     g = edge_swap_sum(covers)
@@ -442,7 +468,7 @@ def test_genus_and_check_search_under_the_default_budget(capsys, stg, monkeypatc
 
 def test_max_nodes_below_zero_rejected(capsys, stg):
     path = stg("h", ghopf())
-    for value in ("-1", "x"):
+    for value in ("-1", "x", "1_0", "\u0661\u0660", " 7"):
         with pytest.raises(SystemExit) as exc:
             main(["genus", path, "--max-nodes", value])
         assert exc.value.code == 2
@@ -453,7 +479,7 @@ def test_max_nodes_below_zero_rejected(capsys, stg):
         2, "", "refused: genus search exceeds the node budget 0\n")
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "two"])
+@pytest.mark.parametrize("value", ["0", "-3", "two", "1_0", "\u0661\u0660", " 7"])
 def test_threads_below_one_rejected(capsys, stg, value):
     path = stg("h", ghopf())
     for cmd in ("genus", "oracle", "check"):

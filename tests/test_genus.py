@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+import operator
 import random
 import tracemalloc
 
@@ -132,6 +134,15 @@ def _search_inputs(pipe):
     return pipe.matrix.rows, chords_w, chords_b
 
 
+def _components(pipe):
+    _, chords_w, chords_b = _search_inputs(pipe)
+    return _coupling_order(chords_w, chords_b, pipe.linked)
+
+
+def _flat(components):
+    return [k for part in components for k in part]
+
+
 @pytest.fixture(scope="module")
 def cover_pipes(seeded_covers):
     # 12 to 16 vertices: more coupled than the corpora, still small enough to scan
@@ -148,11 +159,18 @@ def test_coupling_order_matches_a_quadratic_reference(random_corpus, cover_pipes
             if owner[i] != owner[j]:
                 weight[owner[i]][owner[j]] += 1
                 weight[owner[j]][owner[i]] += 1
-        order = [0]
+        # a vertex that nothing placed links to starts a component
+        order, components = [0], [[0]]
         while len(order) < n:
             rest = [k for k in range(n) if k not in order]
-            order.append(max(rest, key=lambda k: (sum(weight[k][p] for p in order), -k)))
-        assert _coupling_order(chords_w, chords_b, pipe.linked) == order
+            k = max(rest, key=lambda k: (sum(weight[k][p] for p in order), -k))
+            if not any(weight[k][p] for p in order):
+                components.append([])
+            components[-1].append(k)
+            order.append(k)
+        found = _coupling_order(chords_w, chords_b, pipe.linked)
+        assert _flat(found) == order
+        assert found == components
 
 
 def test_stuck_is_whether_every_placement_raises_a_side():
@@ -233,7 +251,8 @@ def _pass(pipe, order, least, fixed=False):
     """`_search` over the positions in `order`, with no node budget, and
     with the pivots of the flip symmetries on W when `fixed`."""
     rows, chords_w, chords_b = _search_inputs(pipe)
-    on_w = _fixed(chords_w, chords_b, rows) if fixed else [False] * len(chords_w)
+    on_w = _fixed(chords_w, chords_b, rows, _components(pipe)) if fixed \
+        else [False] * len(chords_w)
     return _search(chords_w, chords_b, rows, list(order), on_w, least, None)
 
 
@@ -250,7 +269,7 @@ def test_genus_is_the_same_in_any_search_order(small_source_sink, random_corpus,
         _, chords_w, chords_b = _search_inputs(pipe)
         n = len(chords_w)
         least = min_genus_of_pipeline(pipe)
-        orders = [_coupling_order(chords_w, chords_b, pipe.linked), list(range(n))]
+        orders = [_flat(_components(pipe)), list(range(n))]
         orders += [[0] + rng.sample(range(1, n), n - 1) for _ in range(5)]
         anywhere = [rng.sample(range(n), n) for _ in range(5)]
         assert {_pass(pipe, order, False)[0] for order in orders + anywhere} | \
@@ -263,24 +282,30 @@ def test_genus_is_the_same_in_any_search_order(small_source_sink, random_corpus,
 
 def test_flip_symmetries_keep_every_genus(small_source_sink, random_corpus, seeded_covers):
     # flipping the vertices of any generator keeps the genus of every
-    # partition, and each of the four local rules gives some generators
-    rules = dict.fromkeys(("R1", "R2", "R3", "R4"), 0)
+    # partition; the component swaps come first and add up to the side
+    # swap, and each of the three local rules gives some generators, as
+    # does the swap of a component short of the whole graph
+    rules = dict.fromkeys(("component", "R2", "R3", "R4"), 0)
     for g in small_source_sink + random_corpus + seeded_covers(range(1, 8)):
         pipe = build_pipeline(g)
         rows, chords_w, chords_b = _search_inputs(pipe)
         n = len(chords_w)
         genera = partition_genera(pipe)
         codes = np.arange(len(genera))
-        symmetries = _symmetries(chords_w, chords_b, rows)
-        assert symmetries[0] == (1 << n) - 1  # the side swap
+        components = _components(pipe)
+        symmetries = _symmetries(chords_w, chords_b, rows, components)
+        swaps = symmetries[:len(components)]
+        assert swaps == [sum(1 << (n - 1 - k) for k in part) for part in components]
+        assert sum(swaps) == functools.reduce(operator.xor, swaps) == (1 << n) - 1
         for flip in symmetries:
             assert (genera[codes ^ flip] == genera).all(), (serialize_stg(g), flip)
-        for flip in symmetries[1:]:
+        rules["component"] += sum(flip != (1 << n) - 1 for flip in swaps)
+        for flip in symmetries[len(components):]:
             k = n - flip.bit_length()  # the generator's lowest position
             if flip & (flip - 1):
                 rules["R4"] += 1
             else:
-                rules["R3" if chords_b[k] else "R2" if len(chords_w[k]) == 2 else "R1"] += 1
+                rules["R3" if chords_b[k] else "R2"] += 1
     assert min(rules.values()) >= 10, rules
 
 
@@ -289,12 +314,14 @@ def test_pivots_on_w_are_the_least_code_of_each_coset(small_source_sink, random_
     # the codes with every fixed position on W are the least codes of the
     # cosets of the span of the flip symmetries, one in each coset
     for g in small_source_sink + random_corpus + seeded_covers(range(1, 8)):
-        rows, chords_w, chords_b = _search_inputs(build_pipeline(g))
+        pipe = build_pipeline(g)
+        rows, chords_w, chords_b = _search_inputs(pipe)
         n = len(chords_w)
-        fixed = _fixed(chords_w, chords_b, rows)
+        components = _components(pipe)
+        fixed = _fixed(chords_w, chords_b, rows, components)
         assert fixed[0]
         span = np.zeros(1, dtype=np.int64)
-        for flip in _symmetries(chords_w, chords_b, rows):
+        for flip in _symmetries(chords_w, chords_b, rows, components):
             if not (span == flip).any():
                 span = np.concatenate([span, span ^ flip])
         assert len(span) == 1 << sum(fixed)
@@ -317,7 +344,7 @@ def test_least_pass_matches_the_ascending_pass_and_the_flat_scan(small_source_si
         n = len(chords_w)
         genera = partition_genera(pipe).tolist()
         genus = min(genera)
-        coupling = _coupling_order(chords_w, chords_b, pipe.linked)
+        coupling = _flat(_components(pipe))
         for order in (list(range(n)), coupling):
             found = _pass(pipe, order, True)
             assert found[:2] == (genus, genera.index(genus))
@@ -331,22 +358,26 @@ def test_least_pass_matches_the_ascending_pass_and_the_flat_scan(small_source_si
 def test_search_runs_on_each_component_alone(connected_sums):
     # no linked pair joins two components (vertices joined by linked
     # chords), so the matrix is block-diagonal over them: `_search` run on
-    # each component, in coupling order, which starts each at its lowest
-    # position, adds up to the least pass over the whole graph
+    # each component `_coupling_order` gives, which starts each at its
+    # lowest position, adds up to the least pass over the whole graph
     for blocks in (2, 3):
         pipe = build_pipeline(connected_sums(3, 2, blocks))
         rows, chords_w, chords_b = _search_inputs(pipe)
         n = len(chords_w)
+        components = _components(pipe)
+        # the components of a union-find over the linked pairs, each in
+        # the same order
         owner = {i: k for k in range(n) for i in chords_w[k] + chords_b[k]}
         uf = ParityUnionFind(n)
         for i, j in pipe.linked:
             uf.union(owner[i], owner[j], 0)
-        components: dict[int, list[int]] = {}
-        for k in _coupling_order(chords_w, chords_b, pipe.linked):
-            components.setdefault(uf.find(k)[0], []).append(k)
+        reference: dict[int, list[int]] = {}
+        for k in _flat(components):
+            reference.setdefault(uf.find(k)[0], []).append(k)
+        assert components == list(reference.values())
         assert len(components) > 1
         genus = code = rank_w = rank_b = 0
-        for part in components.values():
+        for part in components:
             assert part[0] == min(part)
             g, c, w, b = _search(chords_w, chords_b, rows, part, [False] * n, True, None)
             genus, code, rank_w, rank_b = genus + g, code | c, rank_w + w, rank_b + b
@@ -410,8 +441,7 @@ def test_witness_is_least_code_on_covers(cover_pipes):
         result = min_genus_of_pipeline(pipe)
         assert result.witness.side == least.side
         assert result.ranks == rank_pair(pipe.matrix, least)
-        _, chords_w, chords_b = _search_inputs(pipe)
-        if _coupling_order(chords_w, chords_b, pipe.linked) != list(range(len(chords_w))):
+        if _flat(_components(pipe)) != list(range(pipe.graph.n_vertices)):
             reordered += 1
     # so on every cover the leaves do not come in code order, and the rule
     # that a tie with a smaller code wins decides the witness

@@ -15,12 +15,12 @@ import pytest
 
 from stargenus import cli, oracle
 from stargenus.core_graph import (Edge, HalfEdgeRef, StarGraph, double_cover,
-                                  find_source_sink_orientation, require_source_sink,
-                                  serialize_stg)
+                                  find_source_sink_orientation, is_source_sink,
+                                  require_source_sink, serialize_stg, validate)
 from stargenus.errors import NotSourceSinkError, OracleCapExceeded
 from stargenus.fixtures import chain, g8, ghopf, gt3c, gt3f, gx, random_star_graph
 from stargenus.genus import (build_pipeline, enumerate_permissible_partitions,
-                             genus_of_partition, min_genus, min_genus_of_pipeline,
+                             genus_of_partition, is_planar, min_genus, min_genus_of_pipeline,
                              partition_genera)
 from stargenus.oracle import (BLOCK, AtomColoring, _count_faces, _successor_tables,
                               chord_region_parity, coloring_flip, coloring_of_partition,
@@ -376,3 +376,40 @@ def test_mirroring_every_vertex_keeps_min_genus(random_corpus, seeded_covers):
     for g in random_corpus + seeded_covers((4, 5, 6, 7)):
         h = _reslot(g, lambda ref: -ref.slot % g.vertices[ref.vertex])
         assert min_genus(h).min_genus == min_genus(g).min_genus == oracle_min_genus(h)
+
+
+def _relabelled(g, rng):
+    """`g` with its vertex ids mapped to distinct ints in [-50, 1000), its
+    edge ids shuffled, and each vertex's slots rotated by a random amount
+    and reflected at random, which keeps which slots are neighbours."""
+    ids = dict(zip(g.vertices, rng.sample(range(-50, 1000), g.n_vertices)))
+    slot = {}
+    for v, d in g.vertices.items():
+        turn, sign = rng.randrange(d), rng.choice((1, -1))
+        slot.update(((v, s), (turn + sign * s) % d) for s in range(d))
+
+    def ref(r):
+        return HalfEdgeRef(ids[r.vertex], slot[r.vertex, r.slot])
+    edge_ids = rng.sample([e.id for e in g.edges], g.n_edges)
+    return StarGraph({ids[v]: d for v, d in g.vertices.items()},
+                     [Edge(i, ref(e.a), ref(e.b)) for i, e in zip(edge_ids, g.edges)])
+
+
+def test_answers_do_not_depend_on_labels(random_corpus, seeded_covers, connected_sums):
+    # the relabellings above at once, with sparse and negative vertex ids
+    # and each vertex mirrored or not on its own: this moves the merge
+    # order, and with it the coupling order, the components and the pivots
+    # of the flip symmetries, but no answer
+    def answers(h):
+        return is_source_sink(h), min_genus(h).min_genus, oracle_min_genus(h), is_planar(h).planar
+
+    rng = random.Random(2026)
+    copies = 0
+    for g in random_corpus + seeded_covers(range(1, 8)) + [connected_sums(3, 2, 2)]:
+        expected = answers(g)
+        for _ in range(2):
+            h = _relabelled(g, rng)
+            assert validate(h) == [] and h != g
+            assert answers(h) == expected, serialize_stg(h)
+            copies += 1
+    assert copies == 416
