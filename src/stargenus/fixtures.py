@@ -92,13 +92,15 @@ def random_chord_diagram(seed: int, n_chords: int) -> ChordDiagram:
 
 
 _NAMED = {"g8": g8, "gx": gx, "ghopf": ghopf, "gt3f": gt3f, "gt3c": gt3c}
-_CHAIN_RE = re.compile(r"chain\(\s*(\d+)\s*\)", re.ASCII)
-_RANDOM_RE = re.compile(r"random\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)", re.ASCII)
+_BLANKS = "[ \t]*"  # spaces and tabs alone, as in .stg files
+_CHAIN_RE = re.compile(rf"chain\({_BLANKS}(\d+){_BLANKS}\)", re.ASCII)
+_RANDOM_RE = re.compile(rf"random\({_BLANKS}(\d+){_BLANKS},{_BLANKS}(\d+){_BLANKS},"
+                        rf"{_BLANKS}(\d+){_BLANKS}\)", re.ASCII)
 
 
 def by_name(name: str) -> StarGraph:
     """Resolve a fixture expression: a bare name, chain(k) or random(seed,n4,n6)."""
-    text = name.strip()
+    text = name.strip(" \t")
     if text in _NAMED:
         return _NAMED[text]()
     m = _CHAIN_RE.fullmatch(text)

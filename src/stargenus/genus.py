@@ -5,31 +5,27 @@ chords of a triad stay on the vertex's side, the two halves of a double
 chord take opposite sides (the vertex's side bit is the side of its p+
 chord). The genus of a partition is half the sum of the GF(2) ranks of the
 two principal submatrices of the intersection matrix, and the minimal genus
-is the minimum over all 2^n partitions. The search for it is one exact
-branch-and-bound, `_search`, that walks depth first over the vertices in
-coupling-first order (most linked pairs to those already placed first),
-one component of the vertices after another. Each component's side swap
-and three local rules on the intersection matrix give the flip symmetries
-that `_symmetries` finds, and `_fixed` places the pivots of their reduced
+is the minimum over all 2^n partitions. No linked pair joins two
+components of the vertices (those that linked chords join), so the matrix
+is block-diagonal over them and the genus is the sum of theirs. The search
+for it, `_search`, is one exact branch-and-bound per component, which
+walks depth first over its vertices in coupling-first order (most linked
+pairs to those already placed first). Each component's side swap and three
+local rules on the intersection matrix give the flip symmetries that
+`_symmetries` finds, and `_fixed` places the pivots of their reduced
 echelon basis on W alone: every coset of the symmetries keeps its least
 code, so this keeps every genus and the least witness. Each side's rank is
-kept incrementally in a `SymplecticBasis`, and since a partial rank bounds the
-final one from below, a branch is cut as soon as its half rank sum shows
-that no leaf below can beat the best one found. The basis knows which
-chords would raise its rank, and two bounds read that: each of a node's
-two children adds 1 per side that its own vertex sends such a chord to,
-and a node one short of the cut is cut when some unplaced vertex sends
-such a chord to a side whichever side it takes (a pivot takes W alone). A
-child whose bound already shows it cannot win is never made, and of two the
-search descends into the one with the lower bound first, W on ties. `search_genus`
-lets only a lower genus beat the best leaf, for callers that need no least
-witness; `min_genus_of_pipeline` also lets an equal genus with a smaller
-side code win, and a node's own code is the least code below it, so the
-same pass ends on the lexicographically least witness. Both entry points go
-through one function, `_solve`, which runs the search once under a node
-budget and checks the ranks at the final leaf with `rank_pair`.
-`partition_genera` gives the genus of every partition from a layered
-dynamic programme over the same vertices, which merges the partial
+kept incrementally in a `SymplecticBasis`, and since a partial rank bounds
+the final one from below, a branch is cut as soon as its half rank sum
+shows that no leaf below can beat the best one found; the basis also knows
+which chords would raise its rank, and two sharper bounds read that.
+`search_genus` lets only a lower genus beat the best leaf, for callers
+that need no least witness; `min_genus_of_pipeline` also lets an equal
+genus with a smaller side code win, so the same pass ends on the
+lexicographically least witness. Both go through `_solve`, which runs the
+search under one node budget and checks the ranks at the final leaf with
+`rank_pair`. `partition_genera` gives the genus of every partition from a
+layered dynamic programme over the same vertices, which merges the partial
 partitions whose bases leave the same residual form on the chords still to
 come.
 
@@ -368,31 +364,34 @@ def _stuck(up_w: int, up_b: int, rest: Optional[tuple]) -> bool:
 
 
 def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[int, ...],
-            order: list[int], fixed: list[bool], least: bool,
+            components: list[list[int]], fixed: list[bool], least: bool,
             max_nodes: Optional[int]) -> tuple[int, int, int, int]:
-    """The branch-and-bound over the vertex positions in `order`, all of
-    one pipeline's or any part of them, with their chords as `_side_chords`
-    lists them and `rows` the intersection matrix's rows. It walks depth
-    first, one position of `order` a level, into the lower-bound child
-    first (W on ties), with `order[0]` kept on W: flipping every vertex of
-    `order` swaps the two chord sets and keeps the genus. So are the
-    positions that `fixed` (per position) marks, which get no B child and
-    which `_stuck` reads by their W option alone; `_fixed` marks pivots of
-    flip symmetries, whose every coset keeps its least code, and with those
-    `order` must start at position 0, the first component's pivot. Returns
-    (genus, code, rank_w, rank_b) of the best leaf, over the chords of
-    `order`'s positions alone; `code` is over all the pipeline's vertices in
-    ascending order, as in `partition_from_code`, whatever `order` is, with
-    the positions outside `order` on W.
+    """The branch-and-bound over the vertex positions of `components`, with
+    their chords as `_side_chords` lists them and `rows` the intersection
+    matrix's rows: one depth-first walk per part, from a root at its first
+    position. No linked pair may join two parts, as none joins two of
+    `_coupling_order`'s components: the matrix is then block-diagonal over
+    them, and a code's genus and ranks are the sums of its parts'. (One
+    part, `[order]`, walks the product of any positions.) Returns (genus,
+    code, rank_w, rank_b) summed over the parts' best leaves; `code` is over
+    all the pipeline's vertices, as in `partition_from_code`, with the
+    positions outside the parts on W.
 
-    A leaf beats the best one so far when its genus is lower, or, when
-    `least`, equal with a smaller code. So with `least` the best leaf ends
-    as the least code of the minimal genus, in any child order. That
-    relies on `order[0]` being the lowest position of `order`: of a code
-    and its complement on `order`, which have the same genus, the smaller
-    has that position on W; and on each coset of the fixed positions'
-    symmetries having its least code with them all on W. Without `least`
-    the search ends on the first leaf of the minimal genus it meets.
+    Each part's first position is kept on W: flipping the whole part swaps
+    the two chord sets and keeps the genus. So are the positions that
+    `fixed` (per position) marks, which get no B child and which `_stuck`
+    reads by their W option alone; `_fixed` marks pivots of flip
+    symmetries, whose every coset keeps its least code, and with those each
+    part must start at its lowest position, as each component does, at its
+    swap's pivot. A leaf beats its part's best one so far when its genus is
+    lower, or, when `least`, equal with a smaller code. So with `least` a
+    walk ends on its part's least code of the minimal genus, in any child
+    order, as the part's first position is its lowest and each coset of the
+    fixed positions' symmetries has its least code with them all on W; and
+    the parts' least codes make the least code of the minimal genus, as the
+    first bit where another code of that genus differs lies in one part.
+    Without `least` a walk ends on the first leaf of its part's minimal
+    genus it meets.
 
     A node's half rank sum bounds the genus of every leaf below it (a
     principal submatrix never has larger rank), and so does the bound plus
@@ -405,111 +404,110 @@ def _search(chords_w: list[list[int]], chords_b: list[list[int]], rows: tuple[in
     side's rank by 2, a non-raiser added first leaves it a raiser, and
     ranks never fall. A child is not made when its bound shows, with its
     own code, that it cannot beat the best, nor a B child at a fixed
-    position; of two made children the search descends into the
-    lower-bound one and pushes the other. Each
-    node the search makes takes one from the budget `max_nodes` (None for
-    no budget): the root, and each child it makes, when it is made.
-    Children that are not made take none. SearchBudgetExceeded is raised
-    when too few are left.
+    position; of two made children the walk descends into the lower-bound
+    one (W on ties) and pushes the other. Each node made, each part's root
+    and each child when it is made, takes one from the budget `max_nodes`
+    (None for no budget), which the parts share; SearchBudgetExceeded is
+    raised when too few are left.
     """
     if max_nodes is not None and max_nodes < 0:
         raise ValueError(f"max_nodes must be at least 0, got {max_nodes}")
-    n = len(order)
-    # per depth: the chords, their masks, whether the position placed there
-    # is fixed, and its code bit, which is read over all the graph's vertices
-    to_w = [chords_w[k] for k in order]
-    to_b = [chords_b[k] for k in order]
-    mask_w = [index_mask(chords) for chords in to_w]
-    mask_b = [index_mask(chords) for chords in to_b]
-    on_w = [fixed[k] for k in order]
-    bit = [1 << (len(chords_w) - 1 - k) for k in order]
-    # suffix[k]: the positions placed below depth k, as (mask_w, mask_b,
-    # fixed, rest) cells for `_stuck`, which the depths share, so building
-    # it costs O(n)
-    suffix: list[Optional[tuple]] = [None] * n
-    for k in range(n - 2, -1, -1):
-        suffix[k] = (mask_w[k + 1], mask_b[k + 1], on_w[k + 1], suffix[k + 1])
     exceeded = SearchBudgetExceeded(f"genus search exceeds the node budget {max_nodes}")
     left = math.inf if max_nodes is None else max_nodes  # nodes still to make
-    if not left:
-        raise exceeded
-    left -= 1
-    # no leaf yet: every genus is below the number of chords, so the first
-    # leaf beats this
-    best, best_code, found = len(rows), 0, None
     empty = SymplecticBasis(rows)
-    # (depth, code with the bits of the positions down to that depth, white
-    # basis, black basis, the bound its parent gave it); an explicit stack,
-    # so depth is not bounded by the recursion limit
-    stack = [(0, 0, empty, empty, 0)]
-    while stack:
-        k, code, white, black, bound = stack.pop()
-        # the leaves below must stay under this genus to beat the best
-        cut = best + (least and code < best_code)
-        if bound >= cut:  # the best improved since the push
-            continue
-        while True:  # place depth k's position, then descend into a child
-            to_white, to_black = (to_b[k], to_w[k]) if code & bit[k] else (to_w[k], to_b[k])
-            for i in to_white:
-                white = white.add(i)
-            for i in to_black:
-                black = black.add(i)
-            bound = (white.rank + black.rank) // 2
-            if bound >= cut:
-                break
-            if k == n - 1:
-                best, best_code = bound, code
-                found = (bound, code, white.rank, black.rank)
-                break
-            up_w, up_b = white.raisers, black.raisers
-            if bound + 1 == cut and _stuck(up_w, up_b, suffix[k]):
-                break
-            k += 1
-            # a raiser sent to a side raises it by 2 in every leaf below
-            mw, mb, code_b = mask_w[k], mask_b[k], code | bit[k]
-            bound_w = bound + bool(mw & up_w) + bool(mb & up_b)
-            bound_b = bound + bool(mb & up_w) + bool(mw & up_b)
-            cut_b = best + (least and code_b < best_code)
-            keep_w, keep_b = bound_w < cut, bound_b < cut_b and not on_w[k]
-            if left < keep_w + keep_b:
-                raise exceeded
-            left -= keep_w + keep_b
-            # descend into the child with the lower bound, W on ties, and
-            # push the other; the W child has its parent's code and cut
-            if keep_w and (bound_w <= bound_b or not keep_b):
-                if keep_b:
-                    stack.append((k, code_b, white, black, bound_b))
-            elif keep_b:
-                if keep_w:
-                    stack.append((k, code, white, black, bound_w))
-                code, cut = code_b, cut_b
-            else:
-                break
-    assert found is not None
-    return found
+    total = (0, 0, 0, 0)  # (genus, code, rank_w, rank_b) over the parts walked
+    for order in components:
+        n = len(order)
+        # per depth: its position's chords, their masks, whether it is
+        # fixed, and its code bit, over all the graph's vertices
+        to_w = [chords_w[k] for k in order]
+        to_b = [chords_b[k] for k in order]
+        mask_w = [index_mask(chords) for chords in to_w]
+        mask_b = [index_mask(chords) for chords in to_b]
+        on_w = [fixed[k] for k in order]
+        bit = [1 << (len(chords_w) - 1 - k) for k in order]
+        # suffix[k]: the positions placed below depth k, as (mask_w, mask_b,
+        # fixed, rest) cells for `_stuck` that the depths share: O(n) to build
+        suffix: list[Optional[tuple]] = [None] * n
+        for k in range(n - 2, -1, -1):
+            suffix[k] = (mask_w[k + 1], mask_b[k + 1], on_w[k + 1], suffix[k + 1])
+        if not left:
+            raise exceeded
+        left -= 1
+        # no leaf yet: every genus is below the chord count, so the first leaf beats this
+        best, best_code, found = len(rows), 0, None
+        # (depth, code with the bits of the positions down to that depth,
+        # white basis, black basis, the bound its parent gave it); an
+        # explicit stack, so depth is not bounded by the recursion limit
+        stack = [(0, 0, empty, empty, 0)]
+        while stack:
+            k, code, white, black, bound = stack.pop()
+            # the leaves below must stay under this genus to beat the best
+            cut = best + (least and code < best_code)
+            if bound >= cut:  # the best improved since the push
+                continue
+            while True:  # place depth k's position, then descend into a child
+                to_white, to_black = (to_b[k], to_w[k]) if code & bit[k] else (to_w[k], to_b[k])
+                for i in to_white:
+                    white = white.add(i)
+                for i in to_black:
+                    black = black.add(i)
+                bound = (white.rank + black.rank) // 2
+                if bound >= cut:
+                    break
+                if k == n - 1:
+                    best, best_code = bound, code
+                    found = (bound, code, white.rank, black.rank)
+                    break
+                up_w, up_b = white.raisers, black.raisers
+                if bound + 1 == cut and _stuck(up_w, up_b, suffix[k]):
+                    break
+                k += 1
+                # a raiser sent to a side raises it by 2 in every leaf below
+                mw, mb, code_b = mask_w[k], mask_b[k], code | bit[k]
+                bound_w = bound + bool(mw & up_w) + bool(mb & up_b)
+                bound_b = bound + bool(mb & up_w) + bool(mw & up_b)
+                cut_b = best + (least and code_b < best_code)
+                keep_w, keep_b = bound_w < cut, bound_b < cut_b and not on_w[k]
+                if left < keep_w + keep_b:
+                    raise exceeded
+                left -= keep_w + keep_b
+                # descend into the child with the lower bound, W on ties,
+                # and push the other; the W child has its parent's code and cut
+                if keep_w and (bound_w <= bound_b or not keep_b):
+                    if keep_b:
+                        stack.append((k, code_b, white, black, bound_b))
+                elif keep_b:
+                    if keep_w:
+                        stack.append((k, code, white, black, bound_w))
+                    code, cut = code_b, cut_b
+                else:
+                    break
+        assert found is not None
+        genus, code, rank_w, rank_b = found
+        total = (total[0] + genus, total[1] | code, total[2] + rank_w, total[3] + rank_b)
+    return total
 
 
 def _solve(pipe: Pipeline, least: bool, max_nodes: Optional[int]) -> GenusResult:
     """The search driver behind `search_genus` (`least` False) and
-    `min_genus_of_pipeline` (`least` True): one `_search` in coupling-first
-    order (`_coupling_order`'s components one after another), so the
-    ranks, and with them the bounds, grow early and good leaves come soon,
-    with the pivots of the flip symmetries (`_fixed`) on W alone. The leaf
-    is returned once `rank_pair` reproduces the search's ranks there; those
-    are twice a pair count, so an odd rank sum fails this check too.
+    `min_genus_of_pipeline` (`least` True): one `_search`, a walk per
+    component of `_coupling_order`, whose coupling-first order grows the
+    ranks, and with them the bounds, early, with the pivots of the flip
+    symmetries (`_fixed`) on W alone. The leaf is returned once `rank_pair`
+    reproduces the search's ranks there; those are twice a pair count, so
+    an odd rank sum fails this check too.
     """
     vertices = list(pipe.graph.vertices)
     chords_w, chords_b = _side_chords(pipe.diagram, vertices)
     rows = pipe.matrix.rows
     components = _coupling_order(chords_w, chords_b, pipe.linked)
-    order = [k for part in components for k in part]
-    genus, code, rw, rb = _search(chords_w, chords_b, rows, order,
+    genus, code, rw, rb = _search(chords_w, chords_b, rows, components,
                                   _fixed(chords_w, chords_b, rows, components), least, max_nodes)
     leaf = _partition(vertices, chords_w, chords_b, code)
     checked = rank_pair(pipe.matrix, leaf)
     if checked != (rw, rb):
-        raise InvariantViolation(f"leaf ranks {checked} differ from the "
-                                 f"search's {(rw, rb)}")
+        raise InvariantViolation(f"leaf ranks {checked} differ from the search's {(rw, rb)}")
     return GenusResult(genus, leaf, (rw, rb))
 
 

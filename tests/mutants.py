@@ -252,14 +252,44 @@ MUTANTS = (
     ),
     Mutant(
         # no component starts after the first: the one swap is the side swap,
-        # and a connected sum gets one pivot in all
+        # and a connected sum gets one pivot in all and one walk
         "one-component",
         "genus.py",
         "        if not c:\n",
         "        if not components:\n",
-        ("tests/test_cli.py::test_genus_on_a_sum_of_four_answers_under_the_default_budget",
-         "tests/test_genus.py::test_coupling_order_matches_a_quadratic_reference",
-         "tests/test_genus.py::test_search_runs_on_each_component_alone"),
+        ("tests/test_cli.py::test_genus_on_a_sum_answers_under_the_default_budget[4-10]",
+         "tests/test_genus.py::test_coupling_order_matches_a_quadratic_reference"),
+    ),
+    Mutant(
+        # the search walks the first component alone and leaves the others on W
+        "first-component-only",
+        "genus.py",
+        "    for order in components:\n",
+        "    for order in components[:1]:\n",
+        ("tests/test_cli.py::test_genus_on_a_sum_answers_under_the_default_budget[4-10]",
+         "tests/test_genus.py::test_min_genus_matches_full_scan",
+         "tests/test_genus.py::test_least_pass_matches_the_ascending_pass_and_the_flat_scan"),
+    ),
+    Mutant(
+        # the code is the last component's leaf alone: the earlier ones'
+        # bits are dropped, while their genera and ranks are summed
+        "component-code-dropped",
+        "genus.py",
+        "total[1] | code",
+        "code",
+        ("tests/test_cli.py::test_genus_on_a_sum_answers_under_the_default_budget[4-10]",
+         "tests/test_genus.py::test_min_genus_matches_full_scan",
+         "tests/test_genus.py::test_least_pass_matches_the_ascending_pass_and_the_flat_scan"),
+    ),
+    Mutant(
+        # each component gets the whole budget, so a call makes more nodes
+        # than max_nodes
+        "budget-per-component",
+        "genus.py",
+        "        if not left:\n",
+        "        left = math.inf if max_nodes is None else max_nodes\n"
+        "        if not left:\n",
+        ("tests/test_genus.py::test_node_budget_counts_every_node_of_a_call",),
     ),
     Mutant(
         # a fixed position gets no W child instead of no B child

@@ -65,8 +65,10 @@ def test_gen_writes_canonical_text(capsys, tmp_path):
 
 
 def test_gen_unknown_fixture(capsys):
-    # numbers in a fixture expression are ASCII decimal, as in .stg files
-    for name in ("nope", "chain(\u0661\u0662)"):
+    # numbers in a fixture expression are ASCII decimal, and its blanks are
+    # spaces and tabs alone, as in .stg files
+    for name in ("nope", "chain(\u0661\u0662)", "\u3000g8", "chain(\u30003)", "chain(\x0b3)",
+                 "chain(\n3)", "\x0cg8", "random(1,\r2,3)"):
         code, _, err = run(capsys, "gen", name)
         assert code == 2
         assert "unknown fixture" in err
@@ -228,6 +230,15 @@ def test_genus_text_and_json(capsys, stg):
         '"5": "B", "6": "W", "7": "W", "8": "B", "9": "W", "10": "W", "11": "W", "12": "B", '
         '"13": "W", "14": "W", "15": "W"}}\n'), "")
 
+    # the cover of random(28,3,3): three components, two of them single
+    # vertices, and flip symmetries with pivots inside the first (positions
+    # 2, 8 and 9), which the search places on W alone, as the least witness
+    # has them
+    path = stg("c28", double_cover(random_star_graph(28, 3, 3)))
+    assert run(capsys, "genus", path) == (0, (
+        "min genus: 3\nranks: 4 2\nwitness: 0=W 1=W 2=W 3=B 4=W 5=W 6=W 7=W 8=W 9=W "
+        "10=W 11=B\n"), "")
+
 
 @pytest.mark.parametrize("k", [40, 1500])
 def test_genus_on_long_chains_is_bounded(capsys, stg, k):
@@ -388,9 +399,10 @@ def test_a_cap_past_the_oracles_memory_refuses(capsys, stg, connected_sums, monk
 
 
 def test_genus_refuses_past_its_node_budget(capsys, stg, connected_sums, seeded_covers):
-    # 60 vertices: the search runs without end on this sum, so a budget
-    # refuses it, in text and JSON alike
-    path = stg("s", connected_sums(3, 2, 6))
+    # 28 vertices in one component (the cover of seed 2003): the least pass
+    # needs 186,091 nodes, so a budget of 1000 refuses it, in text and JSON
+    # alike
+    path = stg("b14", seeded_covers((14,), seed=2002)[0])
     refused = "refused: genus search exceeds the node budget 1000\n"
     for argv in (["--max-nodes", "1000"], ["--json", "--max-nodes", "1000"]):
         assert run_within(10, capsys, "genus", path, *argv) == (2, "", refused), argv
@@ -404,7 +416,7 @@ def test_genus_refuses_past_its_node_budget(capsys, stg, connected_sums, seeded_
 
     # the default budget's headroom: the sum of the genus-3 covers of seeds
     # 1001-1003 (30 vertices) has genus 3 + 3 + 3, and its least pass takes
-    # 155,140 of the 1,000,000 nodes
+    # 185 of the 1,000,000 nodes
     path = stg("s3", connected_sums(3, 2, 3))
     assert run_within(10, capsys, "genus", path) == (0, (
         "min genus: 9\n"
@@ -414,25 +426,28 @@ def test_genus_refuses_past_its_node_budget(capsys, stg, connected_sums, seeded_
         "")
 
 
-def test_genus_on_a_sum_of_four_answers_under_the_default_budget(capsys, stg, connected_sums,
-                                                                  sum_blocks):
-    # 40 vertices in four components, one per block: each component's side
-    # swap places its lowest vertex on W, and the least pass takes 566,676
-    # of the 1,000,000 nodes, where a search that fixes position 0 alone
-    # needs more than 2,000,000
-    path = stg("s4", connected_sums(3, 2, 4))
+@pytest.mark.parametrize("blocks,genus", [(4, 10), (5, 15), (10, 25), (30, 64)])
+def test_genus_on_a_sum_answers_under_the_default_budget(capsys, stg, connected_sums,
+                                                         sum_blocks, blocks, genus):
+    # 10 vertices a block, in a component or more each: the search walks
+    # each component alone, so the least pass on the sum of four takes 212
+    # of the 1,000,000 nodes, where a walk over the product of the
+    # components took 566,676, and the sum of 30 (300 vertices) takes 1,499
+    path = stg("s", connected_sums(3, 2, blocks))
     code, out, err = run_within(10, capsys, "genus", path)
     assert (code, err) == (0, "")
-    # an observation, not a theorem (it held on sums of 2-10): the genus of
+    # an observation, not a theorem (it held on sums of 2-30): the genus of
     # the sum is the sum of the oracle's genera of its blocks
-    genera = [oracle_min_genus(block) for block in sum_blocks(3, 2, 4)]
-    assert genera == [3, 3, 3, 1]
-    assert out == (
-        f"min genus: {sum(genera)}\n"
-        "ranks: 16 4\n"
-        "witness: 0=W 1=W 2=W 3=W 4=W 5=W 6=B 7=W 8=W 9=B 10=W 11=W 12=B 13=B 14=B"
-        " 15=B 16=W 17=W 18=W 19=W 20=W 21=W 22=W 23=B 24=W 25=W 26=B 27=B 28=W 29=W"
-        " 30=W 31=W 32=W 33=W 34=B 35=B 36=B 37=B 38=B 39=B\n")
+    genera = [oracle_min_genus(block) for block in sum_blocks(3, 2, blocks)]
+    assert out.splitlines()[0] == f"min genus: {sum(genera)}" == f"min genus: {genus}"
+    if blocks == 4:
+        assert genera == [3, 3, 3, 1]
+        assert out == (
+            "min genus: 10\n"
+            "ranks: 16 4\n"
+            "witness: 0=W 1=W 2=W 3=W 4=W 5=W 6=B 7=W 8=W 9=B 10=W 11=W 12=B 13=B 14=B"
+            " 15=B 16=W 17=W 18=W 19=W 20=W 21=W 22=W 23=B 24=W 25=W 26=B 27=B 28=W 29=W"
+            " 30=W 31=W 32=W 33=W 34=B 35=B 36=B 37=B 38=B 39=B\n")
 
 
 def test_genus_on_a_1998_vertex_planar_sum_is_fast(capsys, stg, edge_swap_sum):

@@ -14,7 +14,8 @@ def test_by_name_expressions():
     assert by_name("g8") == g8()
     assert by_name("ghopf") == ghopf()
     assert by_name("chain(3)") == chain(3)
-    assert by_name(" chain( 5 ) ".strip()) == chain(5)
+    assert by_name(" chain( 5 ) ") == by_name("chain(\t5)") == chain(5)
+    assert by_name("\tg8") == g8()
     assert by_name("random(7,4,2)") == random_star_graph(7, 4, 2)
     assert by_name("random(7, 4, 2)") == random_star_graph(7, 4, 2)
 

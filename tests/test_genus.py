@@ -149,8 +149,10 @@ def cover_pipes(seeded_covers):
     return [build_pipeline(g) for g in seeded_covers((6, 6, 7, 7, 8, 8))]
 
 
-def test_coupling_order_matches_a_quadratic_reference(random_corpus, cover_pipes):
-    for pipe in [build_pipeline(g) for g in random_corpus] + cover_pipes:
+def test_coupling_order_matches_a_quadratic_reference(random_corpus, cover_pipes,
+                                                     connected_sums):
+    sums = [build_pipeline(connected_sums(3, 2, blocks)) for blocks in (2, 3)]
+    for pipe in [build_pipeline(g) for g in random_corpus] + cover_pipes + sums:
         _, chords_w, chords_b = _search_inputs(pipe)
         n = len(chords_w)
         owner = {i: k for k in range(n) for i in chords_w[k] + chords_b[k]}
@@ -171,6 +173,18 @@ def test_coupling_order_matches_a_quadratic_reference(random_corpus, cover_pipes
         found = _coupling_order(chords_w, chords_b, pipe.linked)
         assert _flat(found) == order
         assert found == components
+        # the components of a union-find over the linked pairs, each in the
+        # same order and from its lowest position, which `_search` keeps on W
+        uf = ParityUnionFind(n)
+        for i, j in pipe.linked:
+            uf.union(owner[i], owner[j], 0)
+        reference: dict[int, list[int]] = {}
+        for k in order:
+            reference.setdefault(uf.find(k)[0], []).append(k)
+        assert found == list(reference.values())
+        assert all(part[0] == min(part) for part in found)
+    # each sum splits, so its search makes more than one walk
+    assert all(len(_components(pipe)) > 1 for pipe in sums)
 
 
 def test_stuck_is_whether_every_placement_raises_a_side():
@@ -253,7 +267,7 @@ def _pass(pipe, order, least, fixed=False):
     rows, chords_w, chords_b = _search_inputs(pipe)
     on_w = _fixed(chords_w, chords_b, rows, _components(pipe)) if fixed \
         else [False] * len(chords_w)
-    return _search(chords_w, chords_b, rows, list(order), on_w, least, None)
+    return _search(chords_w, chords_b, rows, [list(order)], on_w, least, None)
 
 
 def test_genus_is_the_same_in_any_search_order(small_source_sink, random_corpus, seeded_covers,
@@ -355,39 +369,6 @@ def test_least_pass_matches_the_ascending_pass_and_the_flat_scan(small_source_si
     assert reordered >= 10
 
 
-def test_search_runs_on_each_component_alone(connected_sums):
-    # no linked pair joins two components (vertices joined by linked
-    # chords), so the matrix is block-diagonal over them: `_search` run on
-    # each component `_coupling_order` gives, which starts each at its
-    # lowest position, adds up to the least pass over the whole graph
-    for blocks in (2, 3):
-        pipe = build_pipeline(connected_sums(3, 2, blocks))
-        rows, chords_w, chords_b = _search_inputs(pipe)
-        n = len(chords_w)
-        components = _components(pipe)
-        # the components of a union-find over the linked pairs, each in
-        # the same order
-        owner = {i: k for k in range(n) for i in chords_w[k] + chords_b[k]}
-        uf = ParityUnionFind(n)
-        for i, j in pipe.linked:
-            uf.union(owner[i], owner[j], 0)
-        reference: dict[int, list[int]] = {}
-        for k in _flat(components):
-            reference.setdefault(uf.find(k)[0], []).append(k)
-        assert components == list(reference.values())
-        assert len(components) > 1
-        genus = code = rank_w = rank_b = 0
-        for part in components:
-            assert part[0] == min(part)
-            g, c, w, b = _search(chords_w, chords_b, rows, part, [False] * n, True, None)
-            genus, code, rank_w, rank_b = genus + g, code | c, rank_w + w, rank_b + b
-        least = min_genus_of_pipeline(pipe)
-        assert (genus, code, (rank_w, rank_b)) == \
-            (least.min_genus, least.witness.code, least.ranks)
-        leaf = partition_from_code(pipe.diagram, list(pipe.graph.vertices), code)
-        assert rank_pair(pipe.matrix, leaf) == (rank_w, rank_b)
-
-
 def test_node_budget_counts_every_node_of_a_call(seeded_covers):
     # a call makes at most max_nodes nodes, and gives the unbounded answer
     # whenever it is not refused; letting ties with a smaller code win
@@ -403,11 +384,17 @@ def test_node_budget_counts_every_node_of_a_call(seeded_covers):
                 low = mid + 1
         return low
 
-    for g in seeded_covers((5, 6, 7)):
+    # the cover of random(28,3,3) has three components, which share one
+    # budget: its least pass takes 35 nodes and its first pass 23
+    c28 = double_cover(random_star_graph(28, 3, 3))
+    assert len(_components(build_pipeline(c28))) == 3
+    for g in seeded_covers((5, 6, 7)) + [c28]:
         pipe = build_pipeline(g)
         first = least_budget(search_genus, pipe)
         least = least_budget(min_genus_of_pipeline, pipe)
         assert least > first
+        if g is c28:
+            assert (least, first) == (35, 23)
         for search, nodes in ((search_genus, first), (min_genus_of_pipeline, least)):
             assert search(pipe, max_nodes=nodes) == search(pipe)
             with pytest.raises(SearchBudgetExceeded,
