@@ -213,16 +213,14 @@ def find_rs_circuit(g: StarGraph, orientation: Orientation,
     seq = final[0]  # starts at the lowest edge id
 
     visits = []
+    positions: dict[int, list[int]] = {v: [] for v in g.vertices}
     for k, eid in enumerate(seq):
         prev_head = head_ref[seq[k - 1]]
         tail = orientation.tail(eid)
         if tail.vertex != prev_head.vertex:
             raise InvariantViolation("circuit visit is not contiguous")
         visits.append(Visit(prev_head.vertex, prev_head.slot, tail.slot))
-
-    positions: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for k, vis in enumerate(visits):
-        positions[vis.vertex].append(k)
+        positions[prev_head.vertex].append(k)
 
     circuit = EulerCircuit(
         edges=tuple(seq),
@@ -235,35 +233,28 @@ def find_rs_circuit(g: StarGraph, orientation: Orientation,
 def classify_vertices(g: StarGraph, circuit: EulerCircuit) -> dict[int, VertexClass]:
     """Classify every vertex of the finished circuit.
 
-    Degree-4 vertices are always rotating. A degree-6 vertex with no
-    straight-through passage is rotating, and its three return arcs must be
-    uniformly near (flat) or uniformly opposite (crossed); exactly one
-    straight-through passage makes it splitting, with the principal visit
-    recorded by its index in the vertex's visit list.
+    The grade of each vertex's passages is `classify_local`'s. Degree-4
+    vertices must be rotating. A rotating 6-vertex's three return arcs must
+    be uniformly near (flat) or uniformly opposite (crossed); a splitting one
+    records its principal visit, the straight-through one, by its index in
+    the vertex's visit list.
     """
     classes: dict[int, VertexClass] = {}
     for v, d in g.vertices.items():
         vlist = [circuit.visits[k] for k in circuit.positions[v]]
-        dists = [_cyclic_distance(vis.in_slot, vis.out_slot, d) for vis in vlist]
-        if d == 4:
-            if dists != [1, 1]:
-                raise InvariantViolation(f"non-rotating passage at degree-4 vertex {v}")
-            classes[v] = VertexClass("rotating4")
-            continue
-        opposite = [i for i, dist in enumerate(dists) if dist == 3]
-        if any(dist not in (1, 3) for dist in dists):
+        grade = classify_local(d, {vis.in_slot: vis.out_slot for vis in vlist})
+        if grade == INVALID or d == 4 and grade == SPLITTING:
             raise InvariantViolation(f"invalid passage at vertex {v}")
-        if not opposite:
+        if d == 4:
+            classes[v] = VertexClass("rotating4")
+        elif grade == SPLITTING:
+            principal = next(i for i, vis in enumerate(vlist)
+                             if _cyclic_distance(vis.in_slot, vis.out_slot, 6) == 3)
+            classes[v] = VertexClass("splitting6", principal=principal)
+        else:
             arcs = {_cyclic_distance(vlist[i].out_slot, vlist[(i + 1) % 3].in_slot, 6)
                     for i in range(3)}
-            if arcs == {1}:
-                classes[v] = VertexClass("rotating6", crossed=False)
-            elif arcs == {3}:
-                classes[v] = VertexClass("rotating6", crossed=True)
-            else:
+            if arcs not in ({1}, {3}):
                 raise InvariantViolation(f"mixed return arcs at rotating vertex {v}")
-        elif len(opposite) == 1:
-            classes[v] = VertexClass("splitting6", principal=opposite[0])
-        else:
-            raise InvariantViolation(f"multiple straight passages at vertex {v}")
+            classes[v] = VertexClass("rotating6", crossed=arcs == {3})
     return classes

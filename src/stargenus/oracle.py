@@ -18,11 +18,13 @@ bit of the slot's vertex. `trace_faces` walks those tables for one
 colouring, through `_count_faces`, which callers that trace many colourings
 give tables built once. `traced_genera` links the same tables, built once
 per graph, and counts the faces of half the colourings at once, those in
-which the last vertex (by ascending id) has bit 0, in one recursion over
-the vertices from the last one down: fixing a vertex's colour bit adds the
-links out of its face slots, and a table of open path segments per
-colouring tells which link closes a face. Swapping every colour keeps the
-genus, so the other half are read off the traced half.
+which the last vertex (by ascending id) has bit 0, over the vertices from
+the last one down: one loop doubles the table for each vertex until it
+has BLOCK / 2 rows, then one recursion branches on each later vertex's
+bit. Fixing a vertex's colour bit adds the links out of its face slots,
+and a table of open path segments per colouring tells which link closes a
+face. Swapping every colour keeps the genus, so the other half are read
+off the traced half.
 Both turn face counts into genera by one rule, `_genera_of_faces`.
 Colourings that agree on the vertices done so far share their links, and
 both bits of a vertex link the same slots in one pass, so each traced
@@ -234,19 +236,20 @@ def traced_genera(g: StarGraph, orientation: Orientation,
     # Vertex n - 1 keeps bit 0 (see the docstring).
     _add_links(start, end, faces, ends[n - 1], targets[n - 1][:, :1])
     even = genera[0::2]
+    # Below BLOCK / 2 rows each vertex doubles the table in place of the old
+    # one: the bit-0 half, then the bit-1 half, so the bit tops the row index.
+    k, width = n - 2, width - len(slots_at[n - 1])
+    while k >= 0 and len(faces) < BLOCK // 2:
+        rows = len(faces)
+        start, end = (np.concatenate([a[:, :width]] * 2) for a in (start, end))
+        faces = np.concatenate([faces, faces])
+        _add_links(start, end, faces, ends[k], np.repeat(targets[k], rows, axis=1))
+        k, width = k - 1, width - len(slots_at[k])
 
     def walk(k: int, code: int, start: np.ndarray, end: np.ndarray,
              faces: np.ndarray, width: int) -> None:
         # vertices k to 0 are left; row r of the tables holds the bits of
-        # code + 2r above k, and only their first `width` columns are open.
-        # A table below BLOCK / 2 rows doubles in place of its parent: the
-        # bit-0 half, then the bit-1 half, so the bit tops the row index.
-        while k >= 0 and len(faces) < BLOCK // 2:
-            rows = len(faces)
-            start, end = (np.concatenate([a[:, :width]] * 2) for a in (start, end))
-            faces = np.concatenate([faces, faces])
-            _add_links(start, end, faces, ends[k], np.repeat(targets[k], rows, axis=1))
-            k, width = k - 1, width - len(slots_at[k])
+        # code + 2r above k, and only their first `width` columns are open
         if k < 0:
             even[code >> 1:(code >> 1) + len(faces)] = _genera_of_faces(faces, n, m)
             return
@@ -258,7 +261,7 @@ def traced_genera(g: StarGraph, orientation: Orientation,
             _add_links(*tables, ends[k], targets[k][:, bit:bit + 1])
             walk(k - 1, code | bit << (n - 1 - k), *tables, width - len(slots_at[k]))
 
-    walk(n - 2, 0, start, end, faces, width - len(slots_at[n - 1]))
+    walk(k, 0, start, end, faces, width)
     genera[1::2] = even[::-1]  # code 2^n - 1 - c swaps every colour of c
     return genera
 

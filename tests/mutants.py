@@ -102,6 +102,27 @@ MUTANTS = (
          "tests/test_circuit.py::test_find_rs_circuit_deterministic"),
     ),
     Mutant(
+        # every rotating 6-vertex reads as crossed, its flat triads too
+        "flat-triad-read-as-crossed",
+        "circuit.py",
+        "crossed=arcs == {3}",
+        "crossed=True",
+        ("tests/test_circuit.py::test_classify_vertices_fixtures",
+         "tests/test_chords.py::test_star_diagram_fixtures",
+         "tests/test_acceptance.py::test_criterion_3_pointwise_partition_correspondence"),
+    ),
+    Mutant(
+        # a splitting vertex's principal visit is the one after the
+        # straight-through one
+        "principal-off-by-one",
+        "circuit.py",
+        "principal=principal)",
+        "principal=(principal + 1) % 3)",
+        ("tests/test_oracle.py::test_region_parity_fixtures",
+         "tests/test_oracle.py::test_pointwise_partition_vs_traced_genus",
+         "tests/test_acceptance.py::test_criterion_3_pointwise_partition_correspondence"),
+    ),
+    Mutant(
         "anchor-visit",
         "oracle.py",
         "pos[0 if principal is None else (principal + 1) % 3]",
@@ -174,6 +195,36 @@ MUTANTS = (
         ("tests/test_oracle.py::test_traced_genera_links_only_open_columns",),
     ),
     Mutant(
+        # the bit-0 branch copies its parent's whole tables, closed columns
+        # too: every answer is kept, only the working set grows
+        "bit-0-copies-untrimmed",
+        "oracle.py",
+        "start[:, :width].copy()",
+        "start.copy()",
+        ("tests/test_oracle.py::test_traced_genera_links_only_open_columns",),
+    ),
+    Mutant(
+        # black faces turn at the white faces' parity, not the other one
+        "black-successor-unswapped",
+        "oracle.py",
+        "tuple(p[1 - c] for p in turn[m:])",
+        "tuple(p[c] for p in turn[m:])",
+        ("tests/test_oracle.py::test_swapping_every_colour_keeps_the_traced_genus",
+         "tests/test_oracle.py::test_trace_faces_g8_pinned"),
+    ),
+    Mutant(
+        # an over-cap graph is refused before it is validated and oriented,
+        # so an invalid or unorientable one exits as refused
+        "oracle-cap-before-orienting",
+        "oracle.py",
+        "    genera = traced_genera(g, require_source_sink(g), cap)\n",
+        "    if cap is not None and g.n_vertices > cap:\n"
+        '        raise OracleCapExceeded(f"{g.n_vertices} vertices exceeds the cap {cap}")\n'
+        "    genera = traced_genera(g, require_source_sink(g), cap)\n",
+        ("tests/test_cli.py::test_invalid_graph_into_pipeline_exit_2",
+         "tests/test_cli.py::test_not_source_sink[oracle]"),
+    ),
+    Mutant(
         # the inverse of the right axis permutation, which differs from it
         # whenever the coupling order is not its own inverse
         "transpose-by-order",
@@ -182,6 +233,26 @@ MUTANTS = (
         ".transpose(order)",
         ("tests/test_oracle.py::test_partition_genera_match_the_flat_scan_and_the_oracle",
          "tests/test_genus.py::test_least_pass_matches_the_ascending_pass_and_the_flat_scan"),
+    ),
+    Mutant(
+        # a new leading bit is not cleared from the rows already kept: they
+        # span the same space but are not reduced
+        "echelon-not-back-reduced",
+        "gf2.py",
+        "if p >> lead & 1:",
+        "if False:",
+        ("tests/test_gf2.py::test_echelon_is_reduced_and_spans_the_rows",),
+    ),
+    Mutant(
+        # a pairing keeps the raisers of the radical vectors it pairs or
+        # projects, so a later insertion can pair with a stale one
+        "pairing-keeps-old-raisers",
+        "gf2.py",
+        "            pairs, radical, rank = self.pairs + ((r, x),), tuple(kept), self.rank + 2\n",
+        "            pairs, radical, rank = self.pairs + ((r, x),), tuple(kept), self.rank + 2\n"
+        "            raisers = self.raisers\n",
+        ("tests/test_gf2.py::test_symplectic_basis_tracks_masked_rank",
+         "tests/test_gf2.py::test_symplectic_fields_track_the_pairs_and_radical"),
     ),
     Mutant(
         # every insertion's successor has no raisers, so nothing pairs up
@@ -289,6 +360,23 @@ MUTANTS = (
         "        if not left:\n",
         "        left = math.inf if max_nodes is None else max_nodes\n"
         "        if not left:\n",
+        ("tests/test_genus.py::test_node_budget_counts_every_node_of_a_call",),
+    ),
+    Mutant(
+        # the child with the higher bound is made first: every answer is
+        # kept, only the node counts change
+        "higher-bound-child-first",
+        "genus.py",
+        "if keep_w and (bound_w <= bound_b or not keep_b):",
+        "if keep_w and (bound_w > bound_b or not keep_b):",
+        ("tests/test_genus.py::test_node_budget_counts_every_node_of_a_call",),
+    ),
+    Mutant(
+        # on equal bounds the B child is made first
+        "b-child-first-on-ties",
+        "genus.py",
+        "if keep_w and (bound_w <= bound_b or not keep_b):",
+        "if keep_w and (bound_w < bound_b or not keep_b):",
         ("tests/test_genus.py::test_node_budget_counts_every_node_of_a_call",),
     ),
     Mutant(

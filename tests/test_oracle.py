@@ -291,11 +291,16 @@ def test_traced_genera_links_only_open_columns(small_source_sink, seeded_covers,
     # the segment tables keep the columns of the slots still open, and every
     # link must stay inside them: ranked as ends by their own vertex and as
     # starts by their predecessor's, the slots of the vertices not yet done
-    # come first either way
+    # come first either way. A table is trimmed to them when it is made:
+    # the vertex it is first linked at owns the last open end
     real = oracle._add_links
+    seen = {}  # every table linked so far by id, kept so that no id is reused
 
     def in_open_columns(start, end, faces, ends, targets):
         assert max(ends) < start.shape[1] and targets.max() < end.shape[1]
+        if id(start) not in seen:
+            assert start.shape[1] == end.shape[1] == max(ends) + 1
+            seen[id(start)] = start
         real(start, end, faces, ends, targets)
 
     monkeypatch.setattr(oracle, "_add_links", in_open_columns)
